@@ -313,7 +313,14 @@ def _parse_llr_line(line: str, N: int) -> np.ndarray:
         raise CliError(f"cannot parse LLR line {line!r}")
     if len(vals) != N:
         raise CliError(f"LLR vector has {len(vals)} entries, expected N={N}")
+    if np.isnan(vals).any():
+        raise CliError(f"LLR line {line!r} contains NaN")
     return np.array(vals)
+
+
+def _json_llrs(values) -> list:
+    """LLRs as strict-JSON values: floats, with +-inf as the strings "inf"/"-inf"."""
+    return [float(v) if np.isfinite(v) else ("inf" if v > 0 else "-inf") for v in values]
 
 
 def cmd_decode(args) -> int:
@@ -343,9 +350,9 @@ def cmd_decode(args) -> int:
         results.append(
             {
                 "info_bits": [int(b) for b in r.info_bits],
-                "leaf_posteriors": [float(v) for v in r.leaf_posteriors],
-                "coded_extrinsics": [float(v) for v in r.coded_extrinsics],
-                "coded_posteriors": [float(v) for v in r.coded_posteriors],
+                "leaf_posteriors": _json_llrs(r.leaf_posteriors),
+                "coded_extrinsics": _json_llrs(r.coded_extrinsics),
+                "coded_posteriors": _json_llrs(r.coded_posteriors),
                 "iterations_run": r.iterations_run,
             }
         )
@@ -355,7 +362,7 @@ def cmd_decode(args) -> int:
         "config": resolved_config_dict(spec, dec),
         "results": results,
     }
-    _write_text(args.out, json.dumps(doc, indent=2))
+    _write_text(args.out, json.dumps(doc, indent=2, allow_nan=False))
     return 0
 
 

@@ -3,14 +3,29 @@
 All message passing runs in min-sum LLR arithmetic with a genuine IEEE
 +inf for known-zero feedback: f(+inf, x) = x exactly, which is what makes
 the incremental register form of the PC kernel bitwise-equal to the batch
-form. Channel LLRs are expected finite (saturated at the channel
-interface for noiseless frames); beta messages are finite or +inf, so no
-inf - inf can arise anywhere in the tree.
+form. Beta messages are finite or +inf, so as long as the channel LLRs
+are finite no inf - inf can arise anywhere in the tree. Every decoder
+enforces that contract on its input: NaN LLRs raise ValueError, and
+magnitudes above LLR_MAX (infinities included) are clamped to it on a
+copy, leaving the caller's array as it was. Inputs within +-LLR_MAX (the
+channel's own saturation value) pass through unchanged.
 
 Decoders accept a single frame of shape (N,) or a batch (B, N); every
 array in the result mirrors the input's batch shape. A decoder instance
 owns its buffers and is single-threaded; independent instances may run
 concurrently.
+
+The SCAN-family engine stores its per-level alpha and beta messages, the
+PC-SCAN leaf cache and the CSR registers frame-minor, as (N, B) arrays
+((L, B) for the registers): row i holds index i of every frame, so the
+two halves of a tree node are contiguous row blocks and every f runs in
+place over them. Subtrees whose leaves are all frozen-kind (rate-0
+nodes) are not descended into: their leaves feed back +inf, and
+beta_step of two +inf children over finite alphas is +inf again, so such
+a node always returns +inf. A visit of one writes +inf into its beta
+rows at its own level (which the parent reads) and at level 0 (which the
+leaf posteriors read); before its first visit the node keeps beta 0, as
+an unpruned node would.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import LLR_MAX
 from .construction import FROZEN, PC, CodeSpec, PcStructure, RoleMap
 
 # Leaf kernel classes of the parity-check tanner layer.
@@ -46,18 +62,27 @@ def f_op(*values: float) -> float:
     return sign * mag
 
 
-def f_pair(a, b):
-    """Elementwise two-input f over arrays."""
+def f_pair(a, b, out=None):
+    """Elementwise two-input f over arrays, written into `out` if given.
+
+    `out` may alias `a` or `b`. The magnitude m = min(|a|, |b|) gets its
+    sign from copysign(m, +-0.5), which is bitwise -m where exactly one
+    input is negative (zero counts positive) and m elsewhere.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    m = np.minimum(np.abs(a), np.abs(b))
-    return np.where((a < 0) != (b < 0), -m, m)
+    flip = np.not_equal(np.less(a, 0), np.less(b, 0))
+    if out is None:
+        out = np.empty(np.shape(flip))
+    mag_b = np.abs(b)
+    np.minimum(np.abs(a, out=out), mag_b, out=out)
+    return np.copysign(out, np.subtract(0.5, flip), out=out)
 
 
-def f_reduce(cols: np.ndarray) -> np.ndarray:
-    """f folded along the last axis (batch rows reduce independently)."""
-    neg = (cols < 0).sum(axis=-1) & 1
-    mag = np.abs(cols).min(axis=-1)
+def f_reduce(cols: np.ndarray, axis: int = -1) -> np.ndarray:
+    """f folded along `axis` (the other axes reduce independently)."""
+    neg = (cols < 0).sum(axis=axis) & 1
+    mag = np.abs(cols).min(axis=axis)
     return np.where(neg.astype(bool), -mag, mag)
 
 
@@ -154,6 +179,7 @@ def classify_leaves(rolemap: RoleMap, pcs: PcStructure) -> np.ndarray:
 
 
 def _as_llr_batch(llrs, N: int) -> tuple[np.ndarray, bool]:
+    """The input as a clamped (B, N) copy, plus whether it was one frame."""
     a = np.asarray(llrs, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
@@ -164,7 +190,9 @@ def _as_llr_batch(llrs, N: int) -> tuple[np.ndarray, bool]:
         raise ValueError(f"expected an LLR vector or batch, got shape {a.shape}")
     if a.shape[1] != N:
         raise ValueError(f"LLR length {a.shape[1]} != N {N}")
-    return a, single
+    if np.isnan(a).any():
+        raise ValueError("LLRs must not be NaN")
+    return np.clip(a, -LLR_MAX, LLR_MAX), single
 
 
 class _ScanFamilyDecoder:
@@ -172,10 +200,13 @@ class _ScanFamilyDecoder:
 
     The sequential schedule recomputes the right child's alpha after the
     left subtree has refreshed its beta; the literal schedule computes
-    both child alphas on node entry from the pre-visit betas.
+    both child alphas on node entry from the pre-visit betas. `frozen`
+    marks the leaves whose feedback is always +inf; subtrees made only of
+    them are pruned (see the module docstring), so the leaf hook only
+    sees the other leaves.
     """
 
-    def __init__(self, rolemap: RoleMap, schedule: str = "sequential"):
+    def __init__(self, rolemap: RoleMap, schedule: str, frozen: np.ndarray):
         if schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
         self.rolemap = rolemap
@@ -183,12 +214,15 @@ class _ScanFamilyDecoder:
         self.N = rolemap.N
         self.n = self.N.bit_length() - 1
         self._info_pos = rolemap.info_positions
+        self._sequential = schedule == "sequential"
+        # _rate0[s][j]: the level-s node covering leaves [j 2^s, (j+1) 2^s)
+        self._rate0 = [frozen.reshape(-1, 1 << s).all(axis=1) for s in range(self.n + 1)]
 
     # subclass hooks
     def _begin_iteration(self, t: int) -> None:
         pass
 
-    def _leaf_visit(self, u: int, t: int) -> None:
+    def _leaf_visit(self, u: int) -> None:
         raise NotImplementedError
 
     def decode(self, llrs, t_max: int = 1) -> DecodeResult:
@@ -196,17 +230,19 @@ class _ScanFamilyDecoder:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         root, single = _as_llr_batch(llrs, self.N)
         B = root.shape[0]
-        self._alpha = [np.zeros((B, self.N)) for _ in range(self.n + 1)]
-        self._beta = [np.zeros((B, self.N)) for _ in range(self.n + 1)]
-        self._alpha[self.n][:] = root
-        self._cache = np.zeros((B, self.N))
+        self._alpha = [np.zeros((self.N, B)) for _ in range(self.n + 1)]
+        self._beta = [np.zeros((self.N, B)) for _ in range(self.n + 1)]
+        self._alpha[self.n][:] = root.T
+        self._tmp = np.empty((self.N // 2, B))
         snapshots = []
         for t in range(t_max):
             self._begin_iteration(t)
-            self._traverse(self.n, 0, t)
+            self._traverse(self.n, 0)
             snapshots.append(self._hard_info())
-        leaf_post = self._alpha[0] + self._beta[0]
-        extr = self._beta[self.n].copy()
+        leaf_post = np.ascontiguousarray((self._alpha[0] + self._beta[0]).T)
+        extr = np.ascontiguousarray(self._beta[self.n].T)
+        # the buffers are per decode; an idle decoder should not hold them
+        self._alpha = self._beta = self._tmp = None
         result = DecodeResult(
             info_bits=snapshots[-1],
             leaf_posteriors=leaf_post,
@@ -224,35 +260,37 @@ class _ScanFamilyDecoder:
         return result
 
     def _hard_info(self) -> np.ndarray:
-        post = self._alpha[0][:, self._info_pos] + self._beta[0][:, self._info_pos]
-        return (post < 0).astype(np.uint8)
+        post = self._alpha[0][self._info_pos] + self._beta[0][self._info_pos]
+        return np.ascontiguousarray((post < 0).T, dtype=np.uint8)
 
-    def _traverse(self, s: int, base: int, t: int) -> None:
-        if s == 0:
-            self._cache[:, base] = self._alpha[0][:, base]
-            self._leaf_visit(base, t)
+    def _traverse(self, s: int, base: int) -> None:
+        end = base + (1 << s)
+        if self._rate0[s][base >> s]:
+            self._beta[s][base:end] = np.inf
+            self._beta[0][base:end] = np.inf
             return
-        half = 1 << (s - 1)
-        lo = slice(base, base + half)
-        hi = slice(base + half, base + 2 * half)
-        a_lo = self._alpha[s][:, lo]
-        a_hi = self._alpha[s][:, hi]
-        asub = self._alpha[s - 1]
-        bsub = self._beta[s - 1]
-        if self.schedule == "sequential":
-            asub[:, lo] = f_pair(a_lo, bsub[:, hi] + a_hi)
-            self._traverse(s - 1, base, t)
-            asub[:, hi] = f_pair(a_lo, bsub[:, lo]) + a_hi
-            self._traverse(s - 1, base + half, t)
-        else:
-            asub[:, lo] = f_pair(a_lo, bsub[:, hi] + a_hi)
-            asub[:, hi] = f_pair(a_lo, bsub[:, lo]) + a_hi
-            self._traverse(s - 1, base, t)
-            self._traverse(s - 1, base + half, t)
-        b_lo = bsub[:, lo]
-        b_hi = bsub[:, hi]
-        self._beta[s][:, lo] = f_pair(b_lo, a_hi + b_hi)
-        self._beta[s][:, hi] = f_pair(b_lo, a_lo) + b_hi
+        if s == 0:
+            self._leaf_visit(base)
+            return
+        mid = base + (1 << (s - 1))
+        alpha, beta = self._alpha[s], self._beta[s]
+        asub, bsub = self._alpha[s - 1], self._beta[s - 1]
+        a_lo, a_hi = alpha[base:mid], alpha[mid:end]
+        b_lo, b_hi = bsub[base:mid], bsub[mid:end]
+        tmp = self._tmp[: mid - base]
+        # alpha_l = f(a_lo, b_hi + a_hi); alpha_r = f(a_lo, b_lo) + a_hi
+        f_pair(a_lo, np.add(b_hi, a_hi, out=tmp), out=asub[base:mid])
+        if self._sequential:
+            self._traverse(s - 1, base)
+        f_pair(a_lo, b_lo, out=asub[mid:end])
+        asub[mid:end] += a_hi
+        if not self._sequential:
+            self._traverse(s - 1, base)
+        self._traverse(s - 1, mid)
+        # beta_lo = f(b_lo, a_hi + b_hi); beta_hi = f(b_lo, a_lo) + b_hi
+        f_pair(b_lo, np.add(a_hi, b_hi, out=tmp), out=beta[base:mid])
+        f_pair(b_lo, a_lo, out=beta[mid:end])
+        beta[mid:end] += b_hi
 
 
 class ScanDecoder(_ScanFamilyDecoder):
@@ -262,13 +300,12 @@ class ScanDecoder(_ScanFamilyDecoder):
     """
 
     def __init__(self, rolemap: RoleMap, schedule: str = "sequential"):
-        super().__init__(rolemap, schedule)
         if np.any(rolemap.role == PC):
             raise ValueError("code has PC bits; use the PC-SCAN decoder")
-        self._frozen = rolemap.role == FROZEN
+        super().__init__(rolemap, schedule, rolemap.role == FROZEN)
 
-    def _leaf_visit(self, u: int, t: int) -> None:
-        self._beta[0][:, u] = np.inf if self._frozen[u] else 0.0
+    def _leaf_visit(self, u: int) -> None:
+        self._beta[0][u] = 0.0
 
 
 class PcScanDecoder(_ScanFamilyDecoder):
@@ -288,9 +325,9 @@ class PcScanDecoder(_ScanFamilyDecoder):
         damping: DampingConfig | None = None,
         schedule: str = "sequential",
     ):
-        super().__init__(rolemap, schedule)
-        self.damping = damping if damping is not None else DampingConfig()
         self._kind = classify_leaves(rolemap, pcs)
+        super().__init__(rolemap, schedule, self._kind == LEAF_FROZEN)
+        self.damping = damping if damping is not None else DampingConfig()
         self._pc_cols = {
             u: np.array(iu, dtype=int) for u, iu in pcs.checked_sets.items() if iu
         }
@@ -303,23 +340,23 @@ class PcScanDecoder(_ScanFamilyDecoder):
             self._contribs[u] = cols
 
     def _begin_iteration(self, t: int) -> None:
+        if t == 0:
+            self._cache = np.zeros_like(self._alpha[0])
         self._lam_p = self.damping.lambda_p_at(t)
         self._lam_i = self.damping.lambda_i_at(t)
 
-    def _leaf_visit(self, u: int, t: int) -> None:
+    def _leaf_visit(self, u: int) -> None:
+        self._cache[u] = self._alpha[0][u]
         k = self._kind[u]
-        out = self._beta[0]
-        if k == LEAF_FROZEN:
-            out[:, u] = np.inf
-        elif k == LEAF_UNCHECKED:
-            out[:, u] = 0.0
+        out = self._beta[0][u]
+        if k == LEAF_UNCHECKED:
+            out[:] = 0.0
         elif k == LEAF_PC:
-            out[:, u] = self._lam_p * f_reduce(self._cache[:, self._pc_cols[u]])
+            np.multiply(self._lam_p, f_reduce(self._cache[self._pc_cols[u]], axis=0), out=out)
         else:
-            acc = np.zeros(self._cache.shape[0])
+            out[:] = 0.0
             for cols in self._contribs[u]:
-                acc += self._lam_i * f_reduce(self._cache[:, cols])
-            out[:, u] = acc
+                out += self._lam_i * f_reduce(self._cache[cols], axis=0)
 
 
 class CsrScanDecoder(_ScanFamilyDecoder):
@@ -328,32 +365,28 @@ class CsrScanDecoder(_ScanFamilyDecoder):
     Each register accumulates f(delta, alpha) over the information leaves
     of its chain in visit order; a PC leaf reads its chain's register.
     Registers reset to the f identity (+inf) at every iteration start, so
-    a PC leaf with no preceding info bits feeds back +inf exactly as the
-    general kernel's empty-set branch does.
+    a PC leaf with no preceding info bits would feed back +inf exactly as
+    the general kernel's empty-set branch does; such leaves are frozen-kind
+    and pruned.
     """
 
     def __init__(self, rolemap: RoleMap, pcs: PcStructure, schedule: str = "sequential"):
-        super().__init__(rolemap, schedule)
+        super().__init__(rolemap, schedule, classify_leaves(rolemap, pcs) == LEAF_FROZEN)
         self.L = pcs.L
         self._role = rolemap.role
-        self._delta: np.ndarray | None = None
 
     def _begin_iteration(self, t: int) -> None:
-        B = self._alpha[0].shape[0]
-        if self._delta is None or self._delta.shape[0] != B:
-            self._delta = np.empty((B, self.L))
+        if t == 0:
+            self._delta = np.empty((self.L, self._alpha[0].shape[1]))
         self._delta[:] = np.inf
 
-    def _leaf_visit(self, u: int, t: int) -> None:
+    def _leaf_visit(self, u: int) -> None:
         r = u % self.L
-        role = self._role[u]
-        if role == FROZEN:
-            self._beta[0][:, u] = np.inf
-        elif role == PC:
-            self._beta[0][:, u] = self._delta[:, r]
+        if self._role[u] == PC:
+            self._beta[0][u] = self._delta[r]
         else:
-            self._delta[:, r] = f_pair(self._delta[:, r], self._alpha[0][:, u])
-            self._beta[0][:, u] = 0.0
+            f_pair(self._delta[r], self._alpha[0][u], out=self._delta[r])
+            self._beta[0][u] = 0.0
 
 
 class ScDecoder:
@@ -404,7 +437,7 @@ class ScDecoder:
             info_bits=info_bits,
             leaf_posteriors=leaf_post,
             coded_extrinsics=np.zeros((B, self.N)),
-            coded_posteriors=root.copy(),
+            coded_posteriors=root,
             iterations_run=1,
             iteration_info_bits=(info_bits,),
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
@@ -196,26 +197,31 @@ def _simulate_chunk(config: SimConfig, snr_db: float, lo: int, hi: int):
 
 
 def _chunk_results(config: SimConfig, snr_db: float):
-    """Yield chunk counters in frame order, fanned out over the worker pool."""
-    edges = list(range(0, config.max_frames, config.batch_frames))
+    """Yield chunk counters in frame order, fanned out over the worker pool.
+
+    The pool holds one chunk per worker plus one queued, and a chunk is
+    only submitted once the consumer has taken an earlier result, so when
+    the consumer stops early (closing this generator) at most `workers`
+    chunks are still in flight; any the pool has not started are cancelled.
+    """
+    step = config.batch_frames
+    bounds = [(lo, min(lo + step, config.max_frames)) for lo in range(0, config.max_frames, step)]
     if config.workers == 1:
-        for lo in edges:
-            yield _simulate_chunk(config, snr_db, lo, min(lo + config.batch_frames, config.max_frames))
+        for lo, hi in bounds:
+            yield _simulate_chunk(config, snr_db, lo, hi)
         return
     with ProcessPoolExecutor(max_workers=config.workers) as ex:
         pending: deque = deque()
-        it = iter(edges)
-        def submit_next():
-            lo = next(it, None)
-            if lo is not None:
-                hi = min(lo + config.batch_frames, config.max_frames)
+        try:
+            for lo, hi in bounds:
+                if len(pending) > config.workers:
+                    yield pending.popleft().result()
                 pending.append(ex.submit(_simulate_chunk, config, snr_db, lo, hi))
-        for _ in range(2 * config.workers):
-            submit_next()
-        while pending:
-            res = pending.popleft().result()
-            submit_next()
-            yield res
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for fut in pending:
+                fut.cancel()
 
 
 def run_cell(config: SimConfig, snr_db: float) -> list[CellStats]:
@@ -230,16 +236,17 @@ def run_cell(config: SimConfig, snr_db: float) -> list[CellStats]:
     ferr = np.zeros(iters, dtype=np.int64)
     berr = np.zeros(iters, dtype=np.int64)
     seconds = 0.0
-    for chunk_frames, per_iter, secs in _chunk_results(config, snr_db):
-        if len(per_iter) != iters:
-            raise RuntimeError("decoder reported an unexpected iteration count")
-        frames += chunk_frames
-        for t, (fe, be) in enumerate(per_iter):
-            ferr[t] += fe
-            berr[t] += be
-        seconds += secs
-        if ferr[-1] >= config.min_frame_errors:
-            break
+    with closing(_chunk_results(config, snr_db)) as chunks:
+        for chunk_frames, per_iter, secs in chunks:
+            if len(per_iter) != iters:
+                raise RuntimeError("decoder reported an unexpected iteration count")
+            frames += chunk_frames
+            for t, (fe, be) in enumerate(per_iter):
+                ferr[t] += fe
+                berr[t] += be
+            seconds += secs
+            if ferr[-1] >= config.min_frame_errors:
+                break
     return [
         CellStats(
             snr_db=snr_db,

@@ -11,6 +11,7 @@ from pcpolar import __version__
 from pcpolar.channel import channel_llrs, modulate_bpsk
 from pcpolar.cli import main, read_result_csv, snr_at_fer
 from pcpolar.construction import CodeSpec, build_code
+from pcpolar.decoders import sc_decode
 from pcpolar.encoder import encode
 
 
@@ -123,10 +124,39 @@ def test_decode_round_trip(tmp_path):
     out = tmp_path / "dec.json"
     args = ["decode", "--config", cfg, "--llrs", ",".join(str(v) for v in llr), "--out", str(out)]
     assert main(args) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     assert doc["results"][0]["info_bits"] == msg.tolist()
     assert doc["results"][0]["iterations_run"] == 2
     assert len(doc["results"][0]["coded_extrinsics"]) == 16
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_decode_encodes_infinities_as_strings(tmp_path):
+    # SC posteriors are all +-inf; each must round-trip through "inf"/"-inf"
+    cfg = write_config(tmp_path)
+    spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
+    rm, pcs = build_code(spec)
+    llr = np.random.default_rng(4).normal(0.5, 1.0, 16)
+    out = tmp_path / "dec.json"
+    args = ["decode", "--config", cfg, "--decoder", "sc", "--llrs=" + ",".join(repr(float(v)) for v in llr)]
+    assert main(args + ["--out", str(out)]) == 0
+    post = strict_json(out.read_text())["results"][0]["leaf_posteriors"]
+    assert set(post) <= {"inf", "-inf"}
+    expected = sc_decode(llr, spec, rm, pcs).leaf_posteriors
+    assert np.array_equal(np.array(post, dtype=float), expected)
+
+
+def test_decode_rejects_nan_llrs(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    llrs = ",".join(["nan"] + ["1.0"] * 15)
+    assert main(["decode", "--config", cfg, "--llrs", llrs]) == 1
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_decode_file_with_multiple_frames(tmp_path):

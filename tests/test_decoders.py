@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcpolar.channel import channel_llrs, ebn0_to_sigma, modulate_bpsk
+from pcpolar.channel import LLR_MAX, channel_llrs, ebn0_to_sigma, modulate_bpsk
 from pcpolar.construction import FROZEN, INFO, PC, CodeSpec, RoleMap, build_code, derive_pc_structure
 from pcpolar.decoders import (
     CsrScanDecoder,
@@ -17,6 +18,7 @@ from pcpolar.decoders import (
     beta_step,
     csr_scan_decode,
     f_op,
+    f_pair,
     hard_output,
     pc_scan_decode,
     sc_decode,
@@ -83,6 +85,25 @@ def test_f_op_magnitude_and_sign(values):
 def test_f_op_identity_element():
     for x in (-3.0, 0.0, 5.5, np.inf):
         assert f_op(np.inf, x) == x
+
+
+signed_edge_values = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, 2.0, -7.0, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(signed_edge_values, signed_edge_values), min_size=1, max_size=12))
+def test_f_pair_in_place_forms_are_bitwise_the_where_form(pairs):
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
+    m = np.minimum(np.abs(a), np.abs(b))
+    ref = np.where((a < 0) != (b < 0), -m, m).tobytes()
+    assert f_pair(a, b).tobytes() == ref
+    out = np.full_like(a, np.nan)
+    assert f_pair(a, b, out=out) is out and out.tobytes() == ref
+    a2, b2 = a.copy(), b.copy()
+    f_pair(a2, b, out=a2)
+    f_pair(a, b2, out=b2)
+    assert a2.tobytes() == b2.tobytes() == ref
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +339,23 @@ def test_scan_rejects_bad_inputs():
 
 
 def test_pc_scan_first_iteration_checked_info_feedback_is_zero():
-    spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 4, 2.0, 1)
-    dec = PcScanDecoder(rm, pcs, damping=DampingConfig((1.0,), (1.0,)))
-    dec.decode(llr, 1)
-    checked = list(pcs.checked_info)
-    assert not dec._beta[0][:, checked].any()
+    # in iteration 1 every checking PC leaf is still unvisited (cached alpha
+    # 0), so a checked info leaf feeds back 0 whatever lambda_i is: the
+    # whole result must not depend on lambda_i
+    specs = [
+        CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5),
+        CodeSpec(N=256, K=128, scheme="fc", A=0.5, L=5),
+        CodeSpec(N=256, K=128, scheme="nr", L=5),
+    ]
+    for spec in specs:
+        rm, pcs = build_code(spec)
+        assert pcs.checked_info
+        full = PcScanDecoder(rm, pcs, damping=DampingConfig((1.0,), (1.0,)))
+        off = PcScanDecoder(rm, pcs, damping=DampingConfig((1.0,), (0.0,)))
+        for seed in range(5):
+            _, llr = noisy_llrs(spec, rm, pcs, 4, 2.0, seed)
+            a, b = full.decode(llr, 1), off.decode(llr, 1)
+            assert result_digest(a) == result_digest(b)
 
 
 def test_pc_scan_zero_damping_equals_scan_with_neutralized_pcs():
@@ -480,6 +511,151 @@ def test_no_nans_anywhere_in_soft_outputs():
     assert not np.isnan(res.leaf_posteriors).any()
     assert not np.isnan(res.coded_extrinsics).any()
     assert not np.isnan(res.coded_posteriors).any()
+
+
+# ---------------------------------------------------------------------------
+# golden digests: every DecodeResult byte of the SCAN family, pinned
+
+GOLDEN_CODES = {
+    "64-fc": CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5),
+    "1024-fc": CodeSpec(N=1024, K=512, scheme="fc", A=0.5),
+    "256-nr": CodeSpec(N=256, K=128, scheme="nr", L=5),
+}
+# SHA-256 of result_digest() per code/decoder/schedule/input. They pin the
+# exact output bytes (posteriors, extrinsics, per-iteration decisions), so a
+# speed change to the engine must leave them as they are; regenerate them
+# only for an intended change of what the decoders compute
+GOLDEN_DIGESTS = {
+    "64-fc/scan/sequential/batch": "06bb565bd18ee9b02c713d961e19f6cf76f29298bd277a45e5f5f01e7383fd8c",
+    "64-fc/scan/sequential/single": "3c4a082a38807ec6050ccee85eaf71f49ac52aed02e48b8355b21d5f18039f91",
+    "64-fc/scan/literal/batch": "55288848e74b296e35ef0107720f376742aa8e93788d05f2381c9855210e054c",
+    "64-fc/scan/literal/single": "91eecd8157deafcee20837f7d6e1da2c8cbec85568c598a66aa1400d8b9d5e42",
+    "64-fc/pc-scan/sequential/batch": "f9c50aa377eeb37941e19d449907274ad51dc4ac4e087d0bcdcec93868ca8f6b",
+    "64-fc/pc-scan/sequential/single": "0940c546016e8fd966e8729fc293f7afa8679e1e22d5d27e0e25099b4abe586a",
+    "64-fc/pc-scan/literal/batch": "7851461fe794362c808b083abe98d9ec19e7fb7d8d79e05428d6bba648ed75f9",
+    "64-fc/pc-scan/literal/single": "a7724c268a6ad302d259549934463b766ddf374bdecd7d0fe2ab0922d82b17cf",
+    "64-fc/csr-scan/sequential/batch": "a135f6a44f0078b2ca68d6c8a95a2ba801dae6c9c08bd717b4d117f7cf7c7c57",
+    "64-fc/csr-scan/sequential/single": "6f065675ab24488bd8f9626d710c66e95e3437fff78a9fe412569575496d5ca2",
+    "64-fc/csr-scan/literal/batch": "6346ee6f0c3323e0d2e6729a2ed9979196c541839518d11fcef16ff31e5b4c9d",
+    "64-fc/csr-scan/literal/single": "ab4c6cb9308dac5c60213712057d657e8b55cd0d03ad7e782edafba4858bb3f7",
+    "1024-fc/scan/sequential/batch": "6604316ff2129cab5a3ca7ff0af27ee085b3c2656be2b0de219683115bdb2b42",
+    "1024-fc/scan/sequential/single": "15f8027a7e77035bd22295547588122589c765657b4dd2730a916f4afa379ba2",
+    "1024-fc/scan/literal/batch": "4994a370bc6a436fb91af3563c7c110fb206be016fc792b3bc4be7fcc2d5560e",
+    "1024-fc/scan/literal/single": "7edefd801af181b99e27da2ce9276e626c321daade3dbf501a682ed0ad20a3d4",
+    "1024-fc/pc-scan/sequential/batch": "8364f5f7d4d9e0892eaae7e872b83b92c93c394a2cd657d703169574341caf45",
+    "1024-fc/pc-scan/sequential/single": "93cfffe1f395ce7a4534cfa27f06580de0705344bbb177be21f090bd51983780",
+    "1024-fc/pc-scan/literal/batch": "fdf10d38f83bd3294d3fb88d999c4adb902adb905b78a4ea026f2a97c1ab23e5",
+    "1024-fc/pc-scan/literal/single": "6318e261fe06e03e9955b3c18b7e9ccb54145910e2d7487e4ae67762fbef6da7",
+    "1024-fc/csr-scan/sequential/batch": "ca93c179ed8983d228006f8f7787359301fc65f947f529df3f0e0cfdc325dce9",
+    "1024-fc/csr-scan/sequential/single": "813b5b7ec1fe4edf4bd72c63a5495f83cf81cc9b7bc133c12471c2c8b79a623d",
+    "1024-fc/csr-scan/literal/batch": "c13f26b2b7cd17bafc5aeded1d6f7fb8b51eea1bc0813ee1e85262d46904d408",
+    "1024-fc/csr-scan/literal/single": "f61d94586fb5830c15de34ed2a2d0913b7037e63120e452d13c9e07b7ddfeca3",
+    "256-nr/scan/sequential/batch": "7dd9c19eb5ab7acb41460c5a99c7424485ce6960c137540dac853736b17991d4",
+    "256-nr/scan/sequential/single": "6095ff9d30da6fa1a5a5a4c980e9a9f7c5eeafc19f1c8b24214838cfd3f46b3a",
+    "256-nr/scan/literal/batch": "8b6759b14737612dda8f88ec20ca12ad942d87533f27cca340f51f8dfbdf7e0a",
+    "256-nr/scan/literal/single": "448efb481ff54cdea00d62d34d8ef1ed1c669b2327d425ea3f8fc7fb097f508b",
+    "256-nr/pc-scan/sequential/batch": "2a5c09853fabb558a970372f0d0fc0f9f54b6268268ab4d618b0e63a3ec4ae64",
+    "256-nr/pc-scan/sequential/single": "65b7afb59a2b09aa60922bc20e99f69112689a72201036a4f53563358094490e",
+    "256-nr/pc-scan/literal/batch": "b673f97245fc0075ac8dc75636c31b43270abef49cb17d5c2e1c24478f43c882",
+    "256-nr/pc-scan/literal/single": "a65b87e8546ed20b33add8f4f53af626e6c087463d78f8e4acf4650ce9d01bde",
+    "256-nr/csr-scan/sequential/batch": "a1886c0a5c5b3f44d97b18e60da8782b4e348fcdc2692ab75fb28357d037e772",
+    "256-nr/csr-scan/sequential/single": "522bf5796447f3109be2aff1544b9c291d31b22e2071517766f382325cbe1151",
+    "256-nr/csr-scan/literal/batch": "23f7ec6af455b7e48866059f3d1e0065cf2cc1c1f8fdfaa0d7999ef43abf1b9f",
+    "256-nr/csr-scan/literal/single": "fcdcc9d3d60bc5ee43ae2f6061908aa3bab8ddc2efe76bf287a9e5cb4d9ce3b8",
+}
+
+
+def result_digest(res):
+    h = hashlib.sha256()
+    fields = (
+        res.info_bits,
+        res.leaf_posteriors,
+        res.coded_extrinsics,
+        res.coded_posteriors,
+        np.int64(res.iterations_run),
+        *res.iteration_info_bits,
+    )
+    for a in fields:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def golden_decode(code, decoder, schedule, frames):
+    spec = GOLDEN_CODES[code]
+    rm, pcs = build_code(spec)
+    seed = 100 + list(GOLDEN_CODES).index(code)
+    _, llr = noisy_llrs(spec, rm, pcs, 6, 1.5, seed)
+    if frames == "single":
+        llr = llr[3]
+    if decoder == "scan":  # same N and K, no PC bits
+        plain = CodeSpec(N=spec.N, K=spec.K)
+        return scan_decode(llr, plain, build_code(plain)[0], t_max=3, schedule=schedule)
+    if decoder == "pc-scan":
+        return pc_scan_decode(llr, spec, rm, pcs, t_max=3, schedule=schedule)
+    return csr_scan_decode(llr, spec, rm, pcs, t_max=3, schedule=schedule)
+
+
+def test_scan_family_golden_digests():
+    changed = [
+        key
+        for key, digest in GOLDEN_DIGESTS.items()
+        if result_digest(golden_decode(*key.split("/"))) != digest
+    ]
+    assert not changed, f"decoder outputs changed for {changed}"
+
+
+# ---------------------------------------------------------------------------
+# finite-LLR input contract
+
+CONTRACT_SPEC = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
+
+
+def all_four_decoders():
+    rm, pcs = build_code(CONTRACT_SPEC)
+    plain_rm, _ = build_code(CodeSpec(N=64, K=32))
+    return {
+        "sc": lambda llr: ScDecoder(rm, pcs).decode(llr),
+        "scan": lambda llr: ScanDecoder(plain_rm).decode(llr, 2),
+        "pc-scan": lambda llr: PcScanDecoder(rm, pcs).decode(llr, 2),
+        "csr-scan": lambda llr: CsrScanDecoder(rm, pcs).decode(llr, 2),
+    }
+
+
+def test_decoders_reject_nan_llrs():
+    llr = np.ones((2, 64))
+    llr[1, 7] = np.nan
+    for decode in all_four_decoders().values():
+        with pytest.raises(ValueError, match="NaN"):
+            decode(llr)
+
+
+def test_llrs_beyond_llr_max_are_clamped_on_a_copy():
+    rng = np.random.default_rng(21)
+    llr = rng.normal(0, 3, (3, 64))
+    llr[0, :4] = [np.inf, -np.inf, 1.7e308, -1.7e308]
+    llr[2, 10] = -1e12
+    given = llr.copy()
+    clamped = np.clip(llr, -LLR_MAX, LLR_MAX)
+    for name, decode in all_four_decoders().items():
+        assert result_digest(decode(llr)) == result_digest(decode(clamped)), name
+        assert np.array_equal(llr, given), name
+
+
+extreme_llrs = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e9, -1e9, 1.7e308, -1.7e308, np.inf, -np.inf]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(extreme_llrs, min_size=64, max_size=64))
+def test_no_nans_at_extreme_llr_magnitudes(values):
+    llr = np.array(values)
+    for name, decode in all_four_decoders().items():
+        res = decode(llr)
+        for field in (res.leaf_posteriors, res.coded_extrinsics, res.coded_posteriors):
+            assert not np.isnan(field).any(), name
 
 
 def test_literal_schedule_noiseless_round_trip():

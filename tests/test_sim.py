@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from pcpolar.construction import CodeSpec
 from pcpolar.decoders import DampingConfig
+from pcpolar import sim
 from pcpolar.sim import DecoderConfig, SimConfig, run_cell, sweep, wilson_interval
 
 
@@ -138,6 +141,41 @@ def test_early_stop_at_chunk_boundary():
     assert cells[-1].frames < 100_000
     assert cells[-1].frames % 50 == 0
 
+
+def early_stop_config(**kw):
+    return small_config(snr_points=(-2.0,), max_frames=100_000, min_frame_errors=20, batch_frames=50, **kw)
+
+
+def test_early_stop_counts_independent_of_workers():
+    counts = {}
+    for w in (1, 2, 3):
+        cells = run_cell(early_stop_config(workers=w), -2.0)
+        counts[w] = [(c.frames, c.frame_errors, c.bit_errors) for c in cells]
+    assert counts[1] == counts[2] == counts[3]
+
+
+class RecordingPool(ProcessPoolExecutor):
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        RecordingPool.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def test_early_stop_submits_only_workers_chunks_past_the_counted(monkeypatch):
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.submitted = 0
+    cells = run_cell(early_stop_config(workers=2), -2.0)
+    counted_chunks = cells[-1].frames // 50
+    assert counted_chunks < 100_000 // 50
+    assert RecordingPool.submitted == counted_chunks + 2
+
+
+def test_worker_exception_reaches_caller():
+    # plain SCAN on a PC code fails only once a worker builds the decoder
+    cfg = small_config(decoder=DecoderConfig(kind="scan"), workers=2)
+    with pytest.raises(ValueError, match="PC"):
+        run_cell(cfg, 2.0)
 
 def test_master_seed_changes_noise():
     a = run_cell(small_config(master_seed=1, max_frames=300), 2.0)
