@@ -31,6 +31,7 @@ from .decoders import (
     CsrScanDecoder,
     DampingConfig,
     DecodeResult,
+    DecoderConfig,
     PcScanDecoder,
     ScanDecoder,
     ScDecoder,
@@ -39,6 +40,7 @@ from .decoders import (
     csr_scan_decode,
     f_op,
     hard_output,
+    make_decoder,
     pc_scan_decode,
     sc_decode,
     scan_decode,
@@ -51,7 +53,6 @@ from .encoder import (
     polar_transform,
 )
 from .sim import (
-    DecoderConfig,
     SimConfig,
     SimResult,
     run_cell,

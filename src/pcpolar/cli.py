@@ -11,8 +11,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
+from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,20 +24,15 @@ import numpy as np
 from . import __version__
 from .construction import (
     ROLE_NAMES,
+    SCHEMES,
     CodeSpec,
     build_code,
     chain_groups,
     check_invariants,
 )
-from .decoders import (
-    CsrScanDecoder,
-    DampingConfig,
-    PcScanDecoder,
-    ScanDecoder,
-    ScDecoder,
-)
+from .decoders import DECODER_KINDS, SCHEDULES, DampingConfig, DecoderConfig, make_decoder
 from .encoder import csr_precode, encode, polar_transform
-from .sim import DECODER_KINDS, DecoderConfig, SimConfig, sweep
+from .sim import SimConfig, sweep
 
 FER_TARGETS = (1e-1, 1e-2, 1e-3)
 
@@ -51,7 +48,7 @@ _CODE_SCHEMA = {
     "properties": {
         "N": {"type": "integer", "minimum": 4},
         "K": {"type": "integer", "minimum": 1},
-        "scheme": {"enum": ["none", "fc", "mc", "nr"]},
+        "scheme": {"enum": list(SCHEMES)},
         "A": {"type": ["number", "null"]},
         "L": {"type": ["integer", "null"], "minimum": 1},
         "mc_weights": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
@@ -68,7 +65,7 @@ _DECODER_SCHEMA = {
         "t_max": {"type": "integer", "minimum": 1},
         "lambda_p": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "lambda_i": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "schedule": {"enum": ["sequential", "literal"]},
+        "schedule": {"enum": list(SCHEDULES)},
     },
 }
 
@@ -113,9 +110,12 @@ CSV_COLUMNS = (
 
 
 def load_config(path: str) -> dict:
+    def non_finite(literal):
+        raise CliError(f"config {path} holds the non-finite number {literal}")
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=non_finite)
     except OSError as e:
         raise CliError(f"cannot read config {path}: {e}")
     except json.JSONDecodeError as e:
@@ -127,89 +127,68 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+# The resolve_* functions pass on only the keys a config holds, so every
+# default comes from the config dataclasses.
+
+
 def resolve_spec(cfg: dict) -> CodeSpec:
-    c = cfg["code"]
+    c = dict(cfg["code"])
+    if "mc_weights" in c:
+        c["mc_weights"] = tuple(c["mc_weights"])
     try:
-        return CodeSpec(
-            N=c["N"],
-            K=c["K"],
-            scheme=c.get("scheme", "none"),
-            A=c.get("A"),
-            L=c.get("L"),
-            mc_weights=tuple(c.get("mc_weights", (1,))),
-            nr_npc=c.get("nr_npc", 3),
-            nr_npc_wm=c.get("nr_npc_wm", 1),
-        )
+        return CodeSpec(**c)
     except ValueError as e:
         raise CliError(f"invalid code config: {e}")
 
 
 def resolve_decoder(cfg: dict, kind: str | None = None) -> DecoderConfig:
-    d = cfg.get("decoder", {})
+    d = dict(cfg.get("decoder", {}))
+    damping = {k: tuple(d.pop(k)) for k in ("lambda_p", "lambda_i") if k in d}
+    if kind:
+        d["kind"] = kind
     try:
-        return DecoderConfig(
-            kind=kind or d.get("kind", "sc"),
-            t_max=d.get("t_max", 1),
-            damping=DampingConfig(
-                lambda_p=tuple(d.get("lambda_p", (1.0,))),
-                lambda_i=tuple(d.get("lambda_i", (0.67,))),
-            ),
-            schedule=d.get("schedule", "sequential"),
-        )
+        return DecoderConfig(damping=DampingConfig(**damping), **d)
     except ValueError as e:
         raise CliError(f"invalid decoder config: {e}")
 
 
 def resolve_sim(cfg: dict, spec: CodeSpec, dec: DecoderConfig, args) -> SimConfig:
-    s = cfg.get("sim", {})
+    s = dict(cfg.get("sim", {}))
+    # SimConfig requires snr_points; a config may leave them out
+    s["snr_points"] = tuple(s.get("snr_points", (0.0,)))
+    if args.seed is not None:
+        s["master_seed"] = args.seed
+    if args.workers is not None:
+        s["workers"] = args.workers
+    if args.noiseless:
+        s["noiseless"] = True
     try:
-        return SimConfig(
-            spec=spec,
-            decoder=dec,
-            snr_points=tuple(s.get("snr_points", (0.0,))),
-            max_frames=s.get("max_frames", 100_000),
-            min_frame_errors=s.get("min_frame_errors", 100),
-            master_seed=args.seed if args.seed is not None else s.get("master_seed", 1),
-            workers=args.workers if args.workers is not None else s.get("workers", 1),
-            noiseless=args.noiseless or s.get("noiseless", False),
-            batch_frames=s.get("batch_frames", 1000),
-        )
+        return SimConfig(spec=spec, decoder=dec, **s)
     except ValueError as e:
         raise CliError(f"invalid sim config: {e}")
 
 
+def _config_fields(obj) -> dict:
+    """A config dataclass's fields as JSON values, tuples as lists; the
+    damping schedules stand in for the damping field, and SimConfig's spec
+    and decoder are left to their own sections."""
+    out: dict = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, DampingConfig):
+            out.update(_config_fields(v))
+        elif not is_dataclass(v):
+            out[f.name] = list(v) if isinstance(v, tuple) else v
+    return out
+
+
 def resolved_config_dict(spec: CodeSpec, dec: DecoderConfig | None = None, sim: SimConfig | None = None) -> dict:
     """Schema-valid config echo with all defaults expanded (L resolved)."""
-    out: dict = {
-        "code": {
-            "N": spec.N,
-            "K": spec.K,
-            "scheme": spec.scheme,
-            "A": spec.A,
-            "L": spec.register_length,
-            "mc_weights": list(spec.mc_weights),
-            "nr_npc": spec.nr_npc,
-            "nr_npc_wm": spec.nr_npc_wm,
-        }
-    }
+    out: dict = {"code": {**_config_fields(spec), "L": spec.register_length}}
     if dec is not None:
-        out["decoder"] = {
-            "kind": dec.kind,
-            "t_max": dec.t_max,
-            "lambda_p": list(dec.damping.lambda_p),
-            "lambda_i": list(dec.damping.lambda_i),
-            "schedule": dec.schedule,
-        }
+        out["decoder"] = _config_fields(dec)
     if sim is not None:
-        out["sim"] = {
-            "snr_points": list(sim.snr_points),
-            "max_frames": sim.max_frames,
-            "min_frame_errors": sim.min_frame_errors,
-            "master_seed": sim.master_seed,
-            "workers": sim.workers,
-            "noiseless": sim.noiseless,
-            "batch_frames": sim.batch_frames,
-        }
+        out["sim"] = _config_fields(sim)
     return out
 
 
@@ -335,18 +314,12 @@ def cmd_decode(args) -> int:
         frames = [_parse_llr_line(l, spec.N) for l in lines]
     else:
         raise CliError("decode needs --llrs or --in file")
-    t_max = args.t_max if args.t_max is not None else dec.t_max
-    if dec.kind == "sc":
-        decoder = ScDecoder(rolemap, pcs)
-    elif dec.kind == "scan":
-        decoder = ScanDecoder(rolemap, schedule=dec.schedule)
-    elif dec.kind == "pc-scan":
-        decoder = PcScanDecoder(rolemap, pcs, damping=dec.damping, schedule=dec.schedule)
-    else:
-        decoder = CsrScanDecoder(rolemap, pcs, schedule=dec.schedule)
+    if args.t_max is not None:
+        dec = replace(dec, t_max=args.t_max)
+    decoder = make_decoder(rolemap, pcs, dec)
     results = []
     for llr in frames:
-        r = decoder.decode(llr) if dec.kind == "sc" else decoder.decode(llr, t_max)
+        r = decoder.decode(llr, dec.iterations)
         results.append(
             {
                 "info_bits": [int(b) for b in r.info_bits],
@@ -445,7 +418,7 @@ def cmd_simulate(args) -> int:
     }
     out = args.out or "simulation"
     _write_text(out + ".csv", _csv_text(config_echo, rows))
-    _write_text(out + ".json", json.dumps(doc, indent=2))
+    _write_text(out + ".json", json.dumps(doc, indent=2, allow_nan=False))
     _write_text(out + ".dat", _dat_text(config_echo, rows))
     print(f"wrote {out}.csv, {out}.json, {out}.dat", file=sys.stderr)
     return 0
@@ -470,9 +443,11 @@ def read_result_csv(path: str) -> list[dict]:
             row = {"decoder": raw["decoder"]}
             row.update({k: int(raw[k]) for k in ints})
             row.update({k: float(raw[k]) for k in floats})
-            rows.append(row)
         except (KeyError, TypeError, ValueError) as e:
             raise CliError(f"{path} is not a pcpolar result CSV: {e}")
+        if not all(math.isfinite(row[k]) for k in floats):
+            raise CliError(f"{path} holds a non-finite number in row {raw}")
+        rows.append(row)
     if not rows:
         raise CliError(f"{path} contains no result rows")
     return rows
@@ -516,6 +491,11 @@ def snr_at_fer(points: list[tuple[float, float, int]], target: float) -> float |
 
 
 def cmd_compare(args) -> int:
+    if not math.isfinite(args.tolerance):
+        raise CliError(f"--tolerance must be a finite number of dB, got {args.tolerance}")
+    targets = [float(t) for t in args.targets.split(",")] if args.targets else list(FER_TARGETS)
+    if not all(0 < t < 1 for t in targets):
+        raise CliError(f"--targets must lie in (0, 1), got {args.targets}")
     rows_a = read_result_csv(args.csv_a)
     rows_b = read_result_csv(args.csv_b)
     curve_a, dec_a, it_a = _curve(rows_a, args.decoder_a, args.iter, args.csv_a)
@@ -524,7 +504,6 @@ def cmd_compare(args) -> int:
     grid_b = {r["snr_db"] for r in curve_b}
     if not grid_a & grid_b:
         raise CliError("the two result files have disjoint SNR grids")
-    targets = [float(t) for t in args.targets.split(",")] if args.targets else list(FER_TARGETS)
     pts_a = [(r["snr_db"], r["fer"], r["frames"]) for r in curve_a]
     pts_b = [(r["snr_db"], r["fer"], r["frames"]) for r in curve_b]
     report = {
@@ -546,7 +525,7 @@ def cmd_compare(args) -> int:
             if gap > args.tolerance:
                 failed = True
         report["targets"].append(entry)
-    _write_text(args.out, json.dumps(report, indent=2))
+    _write_text(args.out, json.dumps(report, indent=2, allow_nan=False))
     return 2 if failed else 0
 
 

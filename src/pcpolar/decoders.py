@@ -30,12 +30,13 @@ an unpruned node would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import LLR_MAX
-from .construction import FROZEN, PC, CodeSpec, PcStructure, RoleMap
+from .construction import FROZEN, PC, CodeSpec, PcStructure, RoleMap, derive_pc_structure
 
 # Leaf kernel classes of the parity-check tanner layer.
 LEAF_FROZEN = 0
@@ -43,7 +44,9 @@ LEAF_PC = 1
 LEAF_CHECKED = 2
 LEAF_UNCHECKED = 3
 
-SCHEDULES = ("sequential", "literal")
+SEQUENTIAL = "sequential"
+SCHEDULES = (SEQUENTIAL, "literal")
+DECODER_KINDS = ("sc", "scan", "pc-scan", "csr-scan")
 
 
 def f_op(*values: float) -> float:
@@ -140,14 +143,35 @@ class DampingConfig:
     def __post_init__(self):
         if not self.lambda_p or not self.lambda_i:
             raise ValueError("damping schedules must be non-empty")
-        if min(self.lambda_p) < 0 or min(self.lambda_i) < 0:
-            raise ValueError("damping factors must be non-negative")
+        if not all(math.isfinite(x) and x >= 0 for x in (*self.lambda_p, *self.lambda_i)):
+            raise ValueError("damping factors must be finite and non-negative")
 
     def lambda_p_at(self, t: int) -> float:
         return self.lambda_p[min(t, len(self.lambda_p) - 1)]
 
     def lambda_i_at(self, t: int) -> float:
         return self.lambda_i[min(t, len(self.lambda_i) - 1)]
+
+
+@dataclass(frozen=True)
+class DecoderConfig:
+    """Which decoder make_decoder builds, and the passes and damping it runs with."""
+
+    kind: str = "sc"
+    t_max: int = 1
+    damping: DampingConfig = field(default_factory=DampingConfig)
+    schedule: str = SEQUENTIAL
+
+    def __post_init__(self):
+        if self.kind not in DECODER_KINDS:
+            raise ValueError(f"unknown decoder {self.kind!r}, expected one of {DECODER_KINDS}")
+        if self.t_max < 1:
+            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+
+    @property
+    def iterations(self) -> int:
+        """Passes the decoder runs, the t_max its decode call takes: SC makes one."""
+        return 1 if self.kind == "sc" else self.t_max
 
 
 @dataclass
@@ -165,6 +189,18 @@ class DecodeResult:
     coded_posteriors: np.ndarray
     iterations_run: int
     iteration_info_bits: tuple[np.ndarray, ...] = ()
+
+
+def _shaped_result(snapshots, leaf_posteriors, coded_extrinsics, coded_posteriors, single) -> DecodeResult:
+    """A DecodeResult from (B, ...) arrays and per-pass decisions, taking
+    row 0 of each when the input was a single frame."""
+    soft = (leaf_posteriors, coded_extrinsics, coded_posteriors)
+    if single:
+        snapshots = [s[0] for s in snapshots]
+        soft = tuple(a[0] for a in soft)
+    return DecodeResult(
+        snapshots[-1], *soft, iterations_run=len(snapshots), iteration_info_bits=tuple(snapshots)
+    )
 
 
 def classify_leaves(rolemap: RoleMap, pcs: PcStructure) -> np.ndarray:
@@ -214,7 +250,7 @@ class _ScanFamilyDecoder:
         self.N = rolemap.N
         self.n = self.N.bit_length() - 1
         self._info_pos = rolemap.info_positions
-        self._sequential = schedule == "sequential"
+        self._sequential = schedule == SEQUENTIAL
         # _rate0[s][j]: the level-s node covering leaves [j 2^s, (j+1) 2^s)
         self._rate0 = [frozen.reshape(-1, 1 << s).all(axis=1) for s in range(self.n + 1)]
 
@@ -243,21 +279,7 @@ class _ScanFamilyDecoder:
         extr = np.ascontiguousarray(self._beta[self.n].T)
         # the buffers are per decode; an idle decoder should not hold them
         self._alpha = self._beta = self._tmp = None
-        result = DecodeResult(
-            info_bits=snapshots[-1],
-            leaf_posteriors=leaf_post,
-            coded_extrinsics=extr,
-            coded_posteriors=root + extr,
-            iterations_run=t_max,
-            iteration_info_bits=tuple(snapshots),
-        )
-        if single:
-            result.info_bits = result.info_bits[0]
-            result.leaf_posteriors = result.leaf_posteriors[0]
-            result.coded_extrinsics = result.coded_extrinsics[0]
-            result.coded_posteriors = result.coded_posteriors[0]
-            result.iteration_info_bits = tuple(s[0] for s in snapshots)
-        return result
+        return _shaped_result(snapshots, leaf_post, extr, root + extr, single)
 
     def _hard_info(self) -> np.ndarray:
         post = self._alpha[0][self._info_pos] + self._beta[0][self._info_pos]
@@ -293,29 +315,15 @@ class _ScanFamilyDecoder:
         beta[mid:end] += b_hi
 
 
-class ScanDecoder(_ScanFamilyDecoder):
-    """Plain soft cancellation for codes without PC bits.
-
-    Leaf feedback is fixed: +inf at frozen leaves, 0 at info leaves.
-    """
-
-    def __init__(self, rolemap: RoleMap, schedule: str = "sequential"):
-        if np.any(rolemap.role == PC):
-            raise ValueError("code has PC bits; use the PC-SCAN decoder")
-        super().__init__(rolemap, schedule, rolemap.role == FROZEN)
-
-    def _leaf_visit(self, u: int) -> None:
-        self._beta[0][u] = 0.0
-
-
 class PcScanDecoder(_ScanFamilyDecoder):
     """PC-SCAN: soft cancellation with tanner-layer parity leaf kernels.
 
     A PC leaf feeds back lambda_p * f over the cached alphas of its
     checked set; a checked info leaf sums lambda_i * f over each checking
-    PC bit's alpha and the co-checked alphas. Cached alphas of leaves not
-    yet visited in the current iteration are previous-iteration values
-    (zero in iteration 1).
+    PC bit's alpha and the co-checked alphas; an unchecked info leaf feeds
+    back 0. Alphas are cached at PC and checked info leaves, the only ones
+    these kernels read; cached alphas of leaves not yet visited in the
+    current iteration are previous-iteration values (zero in iteration 1).
     """
 
     def __init__(
@@ -323,7 +331,7 @@ class PcScanDecoder(_ScanFamilyDecoder):
         rolemap: RoleMap,
         pcs: PcStructure,
         damping: DampingConfig | None = None,
-        schedule: str = "sequential",
+        schedule: str = SEQUENTIAL,
     ):
         self._kind = classify_leaves(rolemap, pcs)
         super().__init__(rolemap, schedule, self._kind == LEAF_FROZEN)
@@ -346,17 +354,31 @@ class PcScanDecoder(_ScanFamilyDecoder):
         self._lam_i = self.damping.lambda_i_at(t)
 
     def _leaf_visit(self, u: int) -> None:
-        self._cache[u] = self._alpha[0][u]
         k = self._kind[u]
         out = self._beta[0][u]
         if k == LEAF_UNCHECKED:
             out[:] = 0.0
-        elif k == LEAF_PC:
+            return
+        self._cache[u] = self._alpha[0][u]
+        if k == LEAF_PC:
             np.multiply(self._lam_p, f_reduce(self._cache[self._pc_cols[u]], axis=0), out=out)
         else:
             out[:] = 0.0
             for cols in self._contribs[u]:
                 out += self._lam_i * f_reduce(self._cache[cols], axis=0)
+
+
+class ScanDecoder(PcScanDecoder):
+    """Plain soft cancellation for codes without PC bits.
+
+    PC-SCAN on a code with no PC leaves: every leaf is frozen (feedback
+    +inf) or unchecked info (feedback 0).
+    """
+
+    def __init__(self, rolemap: RoleMap, schedule: str = SEQUENTIAL):
+        if np.any(rolemap.role == PC):
+            raise ValueError("code has PC bits; use the PC-SCAN decoder")
+        super().__init__(rolemap, derive_pc_structure(rolemap, 1), schedule=schedule)
 
 
 class CsrScanDecoder(_ScanFamilyDecoder):
@@ -370,7 +392,7 @@ class CsrScanDecoder(_ScanFamilyDecoder):
     and pruned.
     """
 
-    def __init__(self, rolemap: RoleMap, pcs: PcStructure, schedule: str = "sequential"):
+    def __init__(self, rolemap: RoleMap, pcs: PcStructure, schedule: str = SEQUENTIAL):
         super().__init__(rolemap, schedule, classify_leaves(rolemap, pcs) == LEAF_FROZEN)
         self.L = pcs.L
         self._role = rolemap.role
@@ -405,7 +427,9 @@ class ScDecoder:
         self._role = rolemap.role
         self._info_pos = rolemap.info_positions
 
-    def decode(self, llrs) -> DecodeResult:
+    def decode(self, llrs, t_max: int = 1) -> DecodeResult:
+        if t_max != 1:
+            raise ValueError(f"SC decodes in one pass; t_max must be 1, got {t_max}")
         root, single = _as_llr_batch(llrs, self.N)
         B = root.shape[0]
         u_hat = np.zeros((B, self.N), dtype=np.uint8)
@@ -431,23 +455,22 @@ class ScDecoder:
             return np.concatenate([x_l ^ x_r, x_r], axis=1)
 
         rec(root, 0)
-        info_bits = u_hat[:, self._info_pos]
         leaf_post = np.where(u_hat == 0, np.inf, -np.inf)
-        result = DecodeResult(
-            info_bits=info_bits,
-            leaf_posteriors=leaf_post,
-            coded_extrinsics=np.zeros((B, self.N)),
-            coded_posteriors=root,
-            iterations_run=1,
-            iteration_info_bits=(info_bits,),
+        return _shaped_result(
+            [u_hat[:, self._info_pos]], leaf_post, np.zeros((B, self.N)), root, single
         )
-        if single:
-            result.info_bits = result.info_bits[0]
-            result.leaf_posteriors = result.leaf_posteriors[0]
-            result.coded_extrinsics = result.coded_extrinsics[0]
-            result.coded_posteriors = result.coded_posteriors[0]
-            result.iteration_info_bits = (result.info_bits,)
-        return result
+
+
+def make_decoder(rolemap: RoleMap, pcs: PcStructure, dec: DecoderConfig):
+    """The decoder of kind `dec.kind` for this code; call its
+    decode(llrs, dec.iterations)."""
+    build = {
+        "sc": lambda: ScDecoder(rolemap, pcs),
+        "scan": lambda: ScanDecoder(rolemap, dec.schedule),
+        "pc-scan": lambda: PcScanDecoder(rolemap, pcs, dec.damping, dec.schedule),
+        "csr-scan": lambda: CsrScanDecoder(rolemap, pcs, dec.schedule),
+    }
+    return build[dec.kind]()
 
 
 def sc_decode(llrs, spec: CodeSpec, rolemap: RoleMap, pcs: PcStructure) -> DecodeResult:
@@ -455,7 +478,7 @@ def sc_decode(llrs, spec: CodeSpec, rolemap: RoleMap, pcs: PcStructure) -> Decod
 
 
 def scan_decode(
-    llrs, spec: CodeSpec, rolemap: RoleMap, t_max: int = 1, schedule: str = "sequential"
+    llrs, spec: CodeSpec, rolemap: RoleMap, t_max: int = 1, schedule: str = SEQUENTIAL
 ) -> DecodeResult:
     return ScanDecoder(rolemap, schedule).decode(llrs, t_max)
 
@@ -467,7 +490,7 @@ def pc_scan_decode(
     pcs: PcStructure,
     damping: DampingConfig | None = None,
     t_max: int = 1,
-    schedule: str = "sequential",
+    schedule: str = SEQUENTIAL,
 ) -> DecodeResult:
     return PcScanDecoder(rolemap, pcs, damping, schedule).decode(llrs, t_max)
 
@@ -478,6 +501,6 @@ def csr_scan_decode(
     rolemap: RoleMap,
     pcs: PcStructure,
     t_max: int = 1,
-    schedule: str = "sequential",
+    schedule: str = SEQUENTIAL,
 ) -> DecodeResult:
     return CsrScanDecoder(rolemap, pcs, schedule).decode(llrs, t_max)

@@ -13,42 +13,17 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
 
-from .channel import channel_llrs, ebn0_to_sigma, modulate_bpsk
+from .channel import channel_llrs, ebn0_to_sigma, frame_rng, modulate_bpsk
 from .construction import CodeSpec, build_code
-from .decoders import (
-    CsrScanDecoder,
-    DampingConfig,
-    PcScanDecoder,
-    ScanDecoder,
-    ScDecoder,
-)
+# DECODER_KINDS and DecoderConfig stay importable from this module too
+from .decoders import DECODER_KINDS, DecoderConfig, make_decoder
 from .encoder import encode
-
-DECODER_KINDS = ("sc", "scan", "pc-scan", "csr-scan")
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    kind: str = "sc"
-    t_max: int = 1
-    damping: DampingConfig = field(default_factory=DampingConfig)
-    schedule: str = "sequential"
-
-    def __post_init__(self):
-        if self.kind not in DECODER_KINDS:
-            raise ValueError(f"unknown decoder {self.kind!r}, expected one of {DECODER_KINDS}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-
-    @property
-    def iterations(self) -> int:
-        return 1 if self.kind == "sc" else self.t_max
 
 
 @dataclass(frozen=True)
@@ -147,15 +122,7 @@ def wilson_interval(errors: int, trials: int, confidence: float = 0.95) -> tuple
 @lru_cache(maxsize=64)
 def _code_and_decoder(spec: CodeSpec, dec: DecoderConfig):
     rolemap, pcs = build_code(spec)
-    if dec.kind == "sc":
-        decoder = ScDecoder(rolemap, pcs)
-    elif dec.kind == "scan":
-        decoder = ScanDecoder(rolemap, schedule=dec.schedule)
-    elif dec.kind == "pc-scan":
-        decoder = PcScanDecoder(rolemap, pcs, damping=dec.damping, schedule=dec.schedule)
-    else:
-        decoder = CsrScanDecoder(rolemap, pcs, schedule=dec.schedule)
-    return rolemap, pcs, decoder
+    return rolemap, pcs, make_decoder(rolemap, pcs, dec)
 
 
 def _frame_batch(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,9 +131,7 @@ def _frame_batch(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.nd
     msgs = np.empty((hi - lo, K), dtype=np.uint8)
     noise = np.empty((hi - lo, N))
     for i, f in enumerate(range(lo, hi)):
-        g = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((config.master_seed, f)))
-        )
+        g = frame_rng(config.master_seed, f)
         msgs[i] = g.integers(0, 2, K, dtype=np.uint8)
         noise[i] = g.standard_normal(N)
     return msgs, noise
@@ -185,10 +150,7 @@ def _simulate_chunk(config: SimConfig, snr_db: float, lo: int, hi: int):
     else:
         sigma = ebn0_to_sigma(snr_db, spec.rate)
         llr = channel_llrs(sym + sigma * noise, sigma)
-    if config.decoder.kind == "sc":
-        res = decoder.decode(llr)
-    else:
-        res = decoder.decode(llr, config.decoder.t_max)
+    res = decoder.decode(llr, config.decoder.iterations)
     per_iter = []
     for bits in res.iteration_info_bits:
         errs = bits != msgs

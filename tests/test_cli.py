@@ -11,7 +11,16 @@ from pcpolar import __version__
 from pcpolar.channel import channel_llrs, modulate_bpsk
 from pcpolar.cli import main, read_result_csv, snr_at_fer
 from pcpolar.construction import CodeSpec, build_code
-from pcpolar.decoders import sc_decode
+from pcpolar.decoders import (
+    DECODER_KINDS,
+    CsrScanDecoder,
+    DecoderConfig,
+    PcScanDecoder,
+    ScanDecoder,
+    ScDecoder,
+    make_decoder,
+    sc_decode,
+)
 from pcpolar.encoder import encode
 
 
@@ -177,6 +186,36 @@ def test_decode_file_with_multiple_frames(tmp_path):
     assert [r["info_bits"] for r in doc["results"]] == msgs.tolist()
 
 
+KIND_CLASSES = {"sc": ScDecoder, "scan": ScanDecoder, "pc-scan": PcScanDecoder, "csr-scan": CsrScanDecoder}
+
+
+@pytest.mark.parametrize("kind", DECODER_KINDS)
+def test_decode_is_make_decoder_decode(tmp_path, kind):
+    # scan decodes codes without PC bits only
+    code = {"N": 16, "K": 8} if kind == "scan" else {"N": 16, "K": 8, "scheme": "fc", "L": 3}
+    cfg = write_config(tmp_path, code=code)
+    rm, pcs = build_code(CodeSpec(**code))
+    dec = DecoderConfig(kind=kind, t_max=2)
+    decoder = make_decoder(rm, pcs, dec)
+    assert type(decoder) is KIND_CLASSES[kind]
+    llr = np.random.default_rng(9).normal(0.5, 1.5, (2, 16))
+    frames = tmp_path / "frames.txt"
+    frames.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in llr))
+    out = tmp_path / "dec.json"
+    assert main(["decode", "--config", cfg, "--in", str(frames), "--decoder", kind, "--out", str(out)]) == 0
+    results = strict_json(out.read_text())["results"]
+    assert len(results) == 2
+    for row, got in zip(llr, results):
+        want = decoder.decode(row, dec.iterations)
+        assert got["info_bits"] == want.info_bits.tolist()
+        assert got["iterations_run"] == want.iterations_run
+        for name in ("leaf_posteriors", "coded_extrinsics", "coded_posteriors"):
+            assert np.array_equal([float(v) for v in got[name]], getattr(want, name)), name
+    # --t-max goes through DecoderConfig's check for every kind, SC included
+    ones = ",".join(["1.0"] * 16)
+    assert main(["decode", "--config", cfg, "--llrs", ones, "--decoder", kind, "--t-max", "0"]) == 1
+
+
 def test_decode_rejects_wrong_length(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["decode", "--config", cfg, "--llrs", "1.0,2.0"]) == 1
@@ -322,6 +361,39 @@ def test_compare_disjoint_grids_is_usage_error(tmp_path):
     make_curve_csv(a, [(2.0, 0.1), (3.0, 0.01)])
     make_curve_csv(b, [(5.0, 0.1), (6.0, 0.01)])
     assert main(["compare", str(a), str(b)]) == 1
+
+
+def test_compare_rejects_non_finite_tolerance_and_targets_outside_unit_interval(tmp_path):
+    rows_a = [(2.0, 0.2), (3.0, 0.02), (4.0, 0.002)]
+    rows_b = [(s, f * 10**0.5) for s, f in rows_a]  # 0.5 dB to the right
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    make_curve_csv(a, rows_a)
+    make_curve_csv(b, rows_b)
+    assert main(["compare", str(a), str(b)]) == 2
+    bad = ["--tolerance=nan", "--tolerance=inf", "--tolerance=-inf", "--targets=0", "--targets=1",
+           "--targets=1e-2,1.5", "--targets=-0.1", "--targets=nan", "--targets=inf"]
+    for arg in bad:
+        assert main(["compare", str(a), str(b), arg]) == 1, arg
+    # a result CSV holding a non-finite number is no input either
+    make_curve_csv(b, rows_a)
+    text = b.read_text()
+    assert ",0.02," in text
+    for value in ("nan", "inf"):
+        b.write_text(text.replace(",0.02,", f",{value},"))
+        assert main(["compare", str(a), str(b)]) == 1, value
+
+
+def test_non_finite_config_numbers_are_usage_errors(tmp_path, capsys):
+    decoder = {"kind": "pc-scan", "t_max": 2, "lambda_p": [0.125]}
+    write_config(tmp_path, decoder=decoder)
+    text = (tmp_path / "cfg.json").read_text()
+    assert "[0.125]" in text
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace("0.125", literal))
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--config", str(path), "--out", out]) == 1, literal
+        assert "non-finite" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(tmp_path):

@@ -202,6 +202,16 @@ def test_sc_rate_one_matches_map():
     assert np.array_equal(res.info_bits, brute_force_map(llr, spec, rm, pcs))
 
 
+def test_sc_rejects_more_than_one_pass():
+    spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
+    rm, pcs = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, pcs, 2, 2.0, 1)
+    dec = ScDecoder(rm, pcs)
+    assert dec.decode(llr, 1).iterations_run == 1
+    with pytest.raises(ValueError, match="t_max"):
+        dec.decode(llr, 2)
+
+
 def test_sc_soft_fields_shape():
     spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
     rm, pcs = build_code(spec)
@@ -514,7 +524,7 @@ def test_no_nans_anywhere_in_soft_outputs():
 
 
 # ---------------------------------------------------------------------------
-# golden digests: every DecodeResult byte of the SCAN family, pinned
+# golden digests: every DecodeResult byte of every decoder, pinned
 
 GOLDEN_CODES = {
     "64-fc": CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5),
@@ -562,6 +572,12 @@ GOLDEN_DIGESTS = {
     "256-nr/csr-scan/sequential/single": "522bf5796447f3109be2aff1544b9c291d31b22e2071517766f382325cbe1151",
     "256-nr/csr-scan/literal/batch": "23f7ec6af455b7e48866059f3d1e0065cf2cc1c1f8fdfaa0d7999ef43abf1b9f",
     "256-nr/csr-scan/literal/single": "fcdcc9d3d60bc5ee43ae2f6061908aa3bab8ddc2efe76bf287a9e5cb4d9ce3b8",
+    "64-fc/sc/-/batch": "70c31b915dc899608bd4219733da5776e369dcde23c399f8501b04c440826967",
+    "64-fc/sc/-/single": "d89b62b8ed016a77cbadc17728def986a0e81e6a2c2fb709e0eba821de45d335",
+    "1024-fc/sc/-/batch": "7e4e2212d08f1572efbff9d3fc1f1c868b5c54c68d780486ebb961ae4c1d1727",
+    "1024-fc/sc/-/single": "77de0de489f550fa81c9aeef3dcccf53124a6da52354e4adf0dc6ab6c5f00489",
+    "256-nr/sc/-/batch": "66bd6a860e2e9613c4e2f7338b60411075af7c57c3bfc3492d721e0591f8e39f",
+    "256-nr/sc/-/single": "09ea97d0aea8d335c0c987512abbf81d978c4808c7d9e0b75047f260480f756c",
 }
 
 
@@ -589,6 +605,8 @@ def golden_decode(code, decoder, schedule, frames):
     _, llr = noisy_llrs(spec, rm, pcs, 6, 1.5, seed)
     if frames == "single":
         llr = llr[3]
+    if decoder == "sc":  # one pass, no schedule ("-" in the key)
+        return sc_decode(llr, spec, rm, pcs)
     if decoder == "scan":  # same N and K, no PC bits
         plain = CodeSpec(N=spec.N, K=spec.K)
         return scan_decode(llr, plain, build_code(plain)[0], t_max=3, schedule=schedule)
@@ -679,6 +697,11 @@ def test_damping_config_validation():
         DampingConfig(lambda_p=(), lambda_i=(0.5,))
     with pytest.raises(ValueError):
         DampingConfig(lambda_p=(1.0,), lambda_i=(-0.1,))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DampingConfig(lambda_p=(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            DampingConfig(lambda_i=(bad,))
     d = DampingConfig(lambda_p=(1.0, 0.5), lambda_i=(0.67,))
     assert d.lambda_p_at(0) == 1.0
     assert d.lambda_p_at(1) == 0.5
