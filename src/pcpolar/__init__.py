@@ -35,8 +35,6 @@ from .decoders import (
     PcScanDecoder,
     ScanDecoder,
     ScDecoder,
-    alpha_step,
-    beta_step,
     csr_scan_decode,
     f_op,
     hard_output,

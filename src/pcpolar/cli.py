@@ -1,7 +1,8 @@
 """Command-line front end: construct, encode, decode, simulate, compare.
 
-Runs are driven by a schema-validated JSON config; every emitted artifact
-embeds the resolved config (defaults expanded) and the tool version.
+Runs are driven by a JSON config whose sections feed the config classes;
+every emitted artifact embeds the resolved config (defaults expanded) and
+the tool version.
 Exit codes: 0 ok, 1 usage or config error, 2 comparison failure.
 """
 
@@ -17,20 +18,19 @@ import time
 from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .construction import (
     ROLE_NAMES,
-    SCHEMES,
     CodeSpec,
     build_code,
     chain_groups,
     check_invariants,
 )
-from .decoders import DECODER_KINDS, SCHEDULES, DampingConfig, DecoderConfig, make_decoder
+from .decoders import DECODER_KINDS, DampingConfig, DecoderConfig, make_decoder
 from .encoder import csr_precode, encode, polar_transform
 from .sim import SimConfig, sweep
 
@@ -41,58 +41,7 @@ class CliError(Exception):
     """Usage or configuration error (exit code 1)."""
 
 
-_CODE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["N", "K"],
-    "properties": {
-        "N": {"type": "integer", "minimum": 4},
-        "K": {"type": "integer", "minimum": 1},
-        "scheme": {"enum": list(SCHEMES)},
-        "A": {"type": ["number", "null"]},
-        "L": {"type": ["integer", "null"], "minimum": 1},
-        "mc_weights": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "nr_npc": {"type": "integer", "minimum": 0},
-        "nr_npc_wm": {"type": "integer", "minimum": 0},
-    },
-}
-
-_DECODER_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": list(DECODER_KINDS)},
-        "t_max": {"type": "integer", "minimum": 1},
-        "lambda_p": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "lambda_i": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "schedule": {"enum": list(SCHEDULES)},
-    },
-}
-
-_SIM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "snr_points": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "max_frames": {"type": "integer", "minimum": 1},
-        "min_frame_errors": {"type": "integer", "minimum": 1},
-        "master_seed": {"type": "integer", "minimum": 0},
-        "workers": {"type": "integer", "minimum": 1},
-        "noiseless": {"type": "boolean"},
-        "batch_frames": {"type": "integer", "minimum": 1},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["code"],
-    "properties": {
-        "code": _CODE_SCHEMA,
-        "decoder": _DECODER_SCHEMA,
-        "sim": _SIM_SCHEMA,
-    },
-}
+_SECTIONS = {"code": CodeSpec, "decoder": DecoderConfig, "sim": SimConfig}
 
 CSV_COLUMNS = (
     "decoder",
@@ -109,7 +58,36 @@ CSV_COLUMNS = (
 )
 
 
+def _json_is(value, hint) -> bool:
+    """Whether a JSON value fits a config field's type: a bool is never a
+    number, an integer is a float, and an array stands for a tuple[T, ...]."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_json_is(v, args[0]) for v in value)
+    if args:  # a union such as float | None
+        return any(_json_is(value, a) for a in args)
+    if isinstance(value, bool) or hint is bool:
+        return isinstance(value, bool) and hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _field_types(cls) -> dict:
+    """The keys of the config section that feeds `cls`, with their types:
+    DampingConfig's fields stand in for the damping field, and SimConfig's
+    spec and decoder are sections of their own."""
+    types: dict = {}
+    for name, hint in get_type_hints(cls).items():
+        if hint is DampingConfig:
+            types.update(_field_types(hint))
+        elif not is_dataclass(hint):
+            types[name] = hint
+    return types
+
+
 def load_config(path: str) -> dict:
+    """Read a JSON config and check each section's keys and types against
+    the fields of the config class it feeds; arrays come back as tuples."""
+
     def non_finite(literal):
         raise CliError(f"config {path} holds the non-finite number {literal}")
 
@@ -120,10 +98,22 @@ def load_config(path: str) -> dict:
         raise CliError(f"cannot read config {path}: {e}")
     except json.JSONDecodeError as e:
         raise CliError(f"config {path} is not valid JSON: {e}")
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise CliError(f"config {path} failed validation: {e.message}")
+    if not isinstance(cfg, dict) or "code" not in cfg:
+        raise CliError(f"config {path} must be a JSON object with a code section")
+    for name, section in cfg.items():
+        if name not in _SECTIONS:
+            raise CliError(f"config {path} has an unknown section {name!r}, expected {list(_SECTIONS)}")
+        if not isinstance(section, dict):
+            raise CliError(f"config {path}: section {name!r} must be a JSON object")
+        types = _field_types(_SECTIONS[name])
+        for key, value in section.items():
+            if key not in types:
+                raise CliError(f"config {path}: unknown key {key!r} in section {name!r}")
+            t = types[key]
+            if not _json_is(value, t):
+                want = t.__name__ if isinstance(t, type) else t
+                raise CliError(f"config {path}: {name}.{key} must be {want}, got {value!r}")
+        cfg[name] = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
     return cfg
 
 
@@ -132,18 +122,16 @@ def load_config(path: str) -> dict:
 
 
 def resolve_spec(cfg: dict) -> CodeSpec:
-    c = dict(cfg["code"])
-    if "mc_weights" in c:
-        c["mc_weights"] = tuple(c["mc_weights"])
+    # after load_config's checks, a TypeError here is a required field left out
     try:
-        return CodeSpec(**c)
-    except ValueError as e:
+        return CodeSpec(**cfg["code"])
+    except (TypeError, ValueError) as e:
         raise CliError(f"invalid code config: {e}")
 
 
 def resolve_decoder(cfg: dict, kind: str | None = None) -> DecoderConfig:
     d = dict(cfg.get("decoder", {}))
-    damping = {k: tuple(d.pop(k)) for k in ("lambda_p", "lambda_i") if k in d}
+    damping = {f.name: d.pop(f.name) for f in fields(DampingConfig) if f.name in d}
     if kind:
         d["kind"] = kind
     try:
@@ -155,7 +143,7 @@ def resolve_decoder(cfg: dict, kind: str | None = None) -> DecoderConfig:
 def resolve_sim(cfg: dict, spec: CodeSpec, dec: DecoderConfig, args) -> SimConfig:
     s = dict(cfg.get("sim", {}))
     # SimConfig requires snr_points; a config may leave them out
-    s["snr_points"] = tuple(s.get("snr_points", (0.0,)))
+    s.setdefault("snr_points", (0.0,))
     if args.seed is not None:
         s["master_seed"] = args.seed
     if args.workers is not None:
@@ -183,7 +171,7 @@ def _config_fields(obj) -> dict:
 
 
 def resolved_config_dict(spec: CodeSpec, dec: DecoderConfig | None = None, sim: SimConfig | None = None) -> dict:
-    """Schema-valid config echo with all defaults expanded (L resolved)."""
+    """Loadable config echo with all defaults expanded (L resolved)."""
     out: dict = {"code": {**_config_fields(spec), "L": spec.register_length}}
     if dec is not None:
         out["decoder"] = _config_fields(dec)
@@ -244,9 +232,11 @@ def _parse_message(text: str, K: int) -> np.ndarray:
             bits = "".join(f"{int(c, 16):04b}" for c in digits)
         except ValueError:
             raise CliError(f"invalid hex message {text!r}")
-        if len(bits) < K:
-            bits = bits.zfill(K)
-        bits = bits[-K:]
+        if not digits:
+            raise CliError(f"hex message {text!r} has no digits")
+        if "1" in bits[:-K]:
+            raise CliError(f"hex message {text!r} sets a bit at or above K={K}")
+        bits = bits.zfill(K)[-K:]
     else:
         bits = text
         if len(bits) != K:
@@ -382,13 +372,15 @@ def _dat_text(config_echo: dict, rows: list[dict]) -> str:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     spec = resolve_spec(cfg)
-    kinds = args.decoders.split(",") if args.decoders else [None]
+    kinds = [k.strip() for k in args.decoders.split(",")] if args.decoders is not None else [None]
+    if "" in kinds:
+        raise CliError(f"--decoders {args.decoders!r} holds an empty entry")
     rows: list[dict] = []
     per_decoder = []
     config_echo = None
     t_start = time.perf_counter()
     for kind in kinds:
-        dec = resolve_decoder(cfg, kind=kind.strip() if kind else None)
+        dec = resolve_decoder(cfg, kind=kind)
         sim_cfg = resolve_sim(cfg, spec, dec, args)
         if config_echo is None:
             config_echo = resolved_config_dict(spec, dec, sim_cfg)

@@ -80,9 +80,9 @@ class CodeSpec:
             raise ValueError(f"scheme {self.scheme!r} needs an explicit L or a coefficient A")
         if tuple(self.mc_weights) not in ((1,), (1, 2)):
             raise ValueError(f"mc_weights must be (1,) or (1, 2), got {self.mc_weights}")
+        if self.nr_npc < 0 or self.nr_npc_wm < 0:
+            raise ValueError("nr_npc and nr_npc_wm must be non-negative")
         if self.scheme == "nr":
-            if self.nr_npc < 0 or self.nr_npc_wm < 0:
-                raise ValueError("nr PC bit counts must be non-negative")
             if self.nr_npc_wm > self.nr_npc:
                 raise ValueError(
                     f"nr_npc_wm ({self.nr_npc_wm}) cannot exceed nr_npc ({self.nr_npc})"
@@ -203,11 +203,13 @@ def coefficient_to_register_length(N: int, A: float) -> int:
 
     Returns the smallest prime >= A * sqrt(N). Calibrated on the single
     known data point (N=64, A=0.5 -> L=5); callers may always override L
-    explicitly in CodeSpec.
+    explicitly in CodeSpec. A must lie in (0, sqrt(N)]: beyond that L
+    would exceed N, where every PC bit is frozen anyway. A * sqrt(N) is
+    then at most N, so the prime search ends below 2N.
     """
     _check_power_of_two(N)
-    if A <= 0:
-        raise ValueError(f"coefficient A must be positive, got {A}")
+    if not 0 < A <= np.sqrt(N):
+        raise ValueError(f"coefficient A must lie in (0, sqrt(N)] = (0, {np.sqrt(N):g}], got {A}")
     return _next_prime(A * np.sqrt(N))
 
 

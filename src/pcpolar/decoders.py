@@ -20,9 +20,9 @@ PC-SCAN leaf cache and the CSR registers frame-minor, as (N, B) arrays
 ((L, B) for the registers): row i holds index i of every frame, so the
 two halves of a tree node are contiguous row blocks and every f runs in
 place over them. Subtrees whose leaves are all frozen-kind (rate-0
-nodes) are not descended into: their leaves feed back +inf, and
-beta_step of two +inf children over finite alphas is +inf again, so such
-a node always returns +inf. A visit of one writes +inf into its beta
+nodes) are not descended into: their leaves feed back +inf, and the
+beta update of two +inf children over finite alphas is +inf again, so
+such a node always returns +inf. A visit of one writes +inf into its beta
 rows at its own level (which the parent reads) and at level 0 (which the
 leaf posteriors read); before its first visit the node keeps beta 0, as
 an unpruned node would.
@@ -89,44 +89,6 @@ def f_reduce(cols: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.where(neg.astype(bool), -mag, mag)
 
 
-def _split(v):
-    v = np.asarray(v, dtype=np.float64)
-    m = v.shape[-1]
-    if m < 2 or m % 2:
-        raise ValueError(f"parent vector must have even length >= 2, got {m}")
-    return v[..., : m // 2], v[..., m // 2 :]
-
-
-def alpha_step(alpha_v, beta_l, beta_r):
-    """Parent-to-children message update (both halves).
-
-    alpha_l = f(alpha_lo, beta_r + alpha_hi);
-    alpha_r = f(alpha_lo, beta_l) + alpha_hi.
-    With the sequential schedule the right half is only valid once beta_l
-    is the left subtree's fresh feedback.
-    """
-    a_lo, a_hi = _split(alpha_v)
-    beta_l = np.asarray(beta_l, dtype=np.float64)
-    beta_r = np.asarray(beta_r, dtype=np.float64)
-    if beta_l.shape[-1] != a_lo.shape[-1] or beta_r.shape[-1] != a_lo.shape[-1]:
-        raise ValueError("child beta length must be half the parent alpha length")
-    return f_pair(a_lo, beta_r + a_hi), f_pair(a_lo, beta_l) + a_hi
-
-
-def beta_step(beta_l, beta_r, alpha_v):
-    """Children-to-parent feedback:
-    beta_v_lo = f(beta_l, alpha_hi + beta_r); beta_v_hi = f(beta_l, alpha_lo) + beta_r.
-    """
-    a_lo, a_hi = _split(alpha_v)
-    beta_l = np.asarray(beta_l, dtype=np.float64)
-    beta_r = np.asarray(beta_r, dtype=np.float64)
-    if beta_l.shape[-1] != a_lo.shape[-1] or beta_r.shape[-1] != a_lo.shape[-1]:
-        raise ValueError("child beta length must be half the parent alpha length")
-    return np.concatenate(
-        [f_pair(beta_l, a_hi + beta_r), f_pair(beta_l, a_lo) + beta_r], axis=-1
-    )
-
-
 def hard_output(leaf_posteriors, rolemap: RoleMap) -> np.ndarray:
     """Hard decisions at the info positions: 1 iff posterior < 0, ties to 0."""
     post = np.asarray(leaf_posteriors, dtype=np.float64)
@@ -167,6 +129,8 @@ class DecoderConfig:
             raise ValueError(f"unknown decoder {self.kind!r}, expected one of {DECODER_KINDS}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        if self.schedule not in SCHEDULES:
+            raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
 
     @property
     def iterations(self) -> int:

@@ -45,6 +45,8 @@ class SimConfig:
             raise ValueError("max_frames must be >= 1")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.batch_frames < 1:

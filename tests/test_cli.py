@@ -24,18 +24,21 @@ from pcpolar.decoders import (
 from pcpolar.encoder import encode
 
 
+BASE_CONFIG = {
+    "code": {"N": 16, "K": 8, "scheme": "fc", "L": 3},
+    "decoder": {"kind": "csr-scan", "t_max": 2},
+    "sim": {
+        "snr_points": [2.0],
+        "max_frames": 200,
+        "min_frame_errors": 1000000,
+        "master_seed": 5,
+        "batch_frames": 50,
+    },
+}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
-    cfg = {
-        "code": {"N": 16, "K": 8, "scheme": "fc", "L": 3},
-        "decoder": {"kind": "csr-scan", "t_max": 2},
-        "sim": {
-            "snr_points": [2.0],
-            "max_frames": 200,
-            "min_frame_errors": 1000000,
-            "master_seed": 5,
-            "batch_frames": 50,
-        },
-    }
+    cfg = dict(BASE_CONFIG)
     for key, val in overrides.items():
         if val is None:
             cfg.pop(key, None)
@@ -85,6 +88,19 @@ def test_construct_rejects_oversized_k(tmp_path):
     assert main(["construct", "--config", cfg]) == 1
 
 
+def test_construct_rejects_coefficient_beyond_sqrt_n(tmp_path, capsys):
+    # these used to trial-divide for a prime near 1e21, or overflow to inf
+    for A in (1e20, 1e308, 8.5):
+        cfg = write_config(tmp_path, code={"N": 64, "K": 32, "scheme": "fc", "A": A})
+        assert main(["construct", "--config", cfg]) == 1, A
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sqrt(N)" in err
+    cfg = write_config(tmp_path, code={"N": 64, "K": 32, "scheme": "fc", "A": 8})
+    out = tmp_path / "c.json"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["register_length"] == 67
+
+
 def test_construct_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"code": {"N": 16, "K": 8, "bogus": 1}}))
@@ -122,6 +138,14 @@ def test_encode_rejects_bad_messages(tmp_path):
     assert main(["encode", "101", "--config", cfg]) == 1
     assert main(["encode", "2222222x", "--config", cfg]) == 1
     assert main(["encode", "--config", cfg]) == 1  # no message at all
+    # K=8: a hex message needs digits and may set no bit at or above K
+    for bad in ("0x", "0X", "0xfff1", "0x100", "0x1_0"):
+        assert main(["encode", bad, "--config", cfg]) == 1, bad
+    out = tmp_path / "cw.txt"
+    assert main(["encode", "0x00f1", "--config", cfg, "--out", str(out)]) == 0
+    out2 = tmp_path / "cw2.txt"
+    assert main(["encode", "11110001", "--config", cfg, "--out", str(out2)]) == 0
+    assert out.read_text() == out2.read_text()  # leading zeros are allowed
 
 
 def test_decode_round_trip(tmp_path):
@@ -396,10 +420,77 @@ def test_non_finite_config_numbers_are_usage_errors(tmp_path, capsys):
         assert "non-finite" in capsys.readouterr().err
 
 
+def _with(section, **entries):
+    """BASE_CONFIG with `entries` set in one of its sections."""
+    return {**BASE_CONFIG, section: {**BASE_CONFIG[section], **entries}}
+
+
+BAD_CONFIGS = {
+    # top level
+    "list": [BASE_CONFIG],
+    "unknown-section": {**BASE_CONFIG, "channel": {}},
+    "missing-code": {k: v for k, v in BASE_CONFIG.items() if k != "code"},
+    "section-not-object": {**BASE_CONFIG, "sim": [2.0]},
+    # unknown keys
+    "code-unknown-key": _with("code", bogus=1),
+    "decoder-unknown-key": _with("decoder", bogus=1),
+    "sim-unknown-key": _with("sim", bogus=1),
+    "decoder-damping": _with("decoder", damping={"lambda_p": [1.0]}),
+    "sim-spec": _with("sim", spec={"N": 16, "K": 8}),
+    # wrong JSON types
+    "N-string": _with("code", N="16"),
+    "N-bool": _with("code", N=True),
+    "N-null": _with("code", N=None),
+    "A-string": _with("code", A="0.5"),
+    "mc_weights-strings": _with("code", mc_weights=["1"]),
+    "lambda_p-number": _with("decoder", lambda_p=1.0),
+    "lambda_p-strings": _with("decoder", lambda_p=["a"]),
+    "snr_points-string": _with("sim", snr_points="1.0"),
+    "noiseless-int": _with("sim", noiseless=1),
+    "max_frames-bool": _with("sim", max_frames=True),
+    # bad values
+    "mc_weights-empty": _with("code", mc_weights=[]),
+    "lambda_i-empty": _with("decoder", lambda_i=[]),
+    "lambda_i-negative": _with("decoder", lambda_i=[-0.5]),
+    "t_max-zero": _with("decoder", t_max=0),
+    "workers-zero": _with("sim", workers=0),
+    "batch_frames-zero": _with("sim", batch_frames=0),
+    "snr_points-empty": _with("sim", snr_points=[]),
+    "master_seed-negative": _with("sim", master_seed=-1),
+    "nr_npc-negative-fc": _with("code", nr_npc=-1),
+    "scheme-unknown": _with("code", scheme="zz"),
+    "kind-unknown": _with("decoder", kind="warp"),
+    "schedule-unknown-pc-scan": _with("decoder", kind="pc-scan", schedule="zigzag"),
+    "schedule-unknown-sc": _with("decoder", kind="sc", schedule="zigzag"),
+    # integers must be JSON integers
+    "N-float": _with("code", N=16.0),
+    "K-float": _with("code", K=8.0),
+    "t_max-float": _with("decoder", t_max=2.0),
+    "master_seed-float": _with("sim", master_seed=3.0),
+    "workers-float": _with("sim", workers=2.0),
+}
+
+
+@pytest.mark.parametrize("name", BAD_CONFIGS)
+def test_bad_configs_are_config_errors(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_CONFIGS[name]))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "sim.csv").exists()
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert main(["construct", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["simulate", "--config", write_config(tmp_path), "--decoders", "warp"]) == 1
+    # an empty entry names no decoder; it used to add the config's own kind
+    for decoders in ("sc,", ",sc", "sc,,csr-scan", ""):
+        out = str(tmp_path / "empty")
+        assert main(["simulate", "--config", write_config(tmp_path), "--decoders", decoders, "--out", out]) == 1
+        assert not (tmp_path / "empty.csv").exists()
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,10 +79,12 @@ def test_coefficient_to_register_length():
     assert coefficient_to_register_length(64, 0.5) == 5  # the Fig-3 calibration point
     assert coefficient_to_register_length(4, 1.0) == 2
     assert coefficient_to_register_length(512, 1.5) == 37
-    with pytest.raises(ValueError):
-        coefficient_to_register_length(64, 0.0)
-    with pytest.raises(ValueError):
-        coefficient_to_register_length(64, -1.0)
+    # A = sqrt(N) is the largest A taken: L is then the first prime above N
+    assert coefficient_to_register_length(64, 8.0) == 67
+    assert coefficient_to_register_length(4, 2.0) == 5
+    for bad in (0.0, -1.0, 8.001, 1e20, 1e308, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sqrt"):
+            coefficient_to_register_length(64, bad)
 
 
 def test_codespec_validation():
@@ -100,6 +104,12 @@ def test_codespec_validation():
         CodeSpec(N=16, K=15, scheme="nr", L=5, nr_npc=3)  # K + npc > N
     with pytest.raises(ValueError):
         CodeSpec(N=16, K=8, scheme="mc", L=3, mc_weights=(2,))
+    # the nr counts must be non-negative under every scheme
+    for scheme in ("none", "fc", "mc", "nr"):
+        with pytest.raises(ValueError, match="non-negative"):
+            CodeSpec(N=16, K=8, scheme=scheme, L=3, nr_npc=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            CodeSpec(N=16, K=8, scheme=scheme, L=3, nr_npc_wm=-1)
 
 
 def test_scheme_none_rolemap():

@@ -14,8 +14,6 @@ from pcpolar.decoders import (
     PcScanDecoder,
     ScanDecoder,
     ScDecoder,
-    alpha_step,
-    beta_step,
     csr_scan_decode,
     f_op,
     f_pair,
@@ -104,43 +102,6 @@ def test_f_pair_in_place_forms_are_bitwise_the_where_form(pairs):
     f_pair(a2, b, out=a2)
     f_pair(a, b2, out=b2)
     assert a2.tobytes() == b2.tobytes() == ref
-
-
-# ---------------------------------------------------------------------------
-# tree message steps
-
-
-def test_alpha_step_example():
-    al, ar = alpha_step(np.array([1.0, -2.0]), np.array([0.0]), np.array([0.0]))
-    assert al[0] == -1.0
-    assert ar[0] == -2.0
-
-
-def test_alpha_step_infinite_right_beta():
-    al, _ = alpha_step(np.array([1.0, -2.0]), np.array([0.0]), np.array([np.inf]))
-    assert al[0] == 1.0  # +inf + x = +inf, f(1, +inf) = 1
-
-
-def test_alpha_step_zero_preserving():
-    al, ar = alpha_step(np.zeros(4), np.zeros(2), np.zeros(2))
-    assert not al.any() and not ar.any()
-
-
-def test_beta_step_frozen_left_pattern():
-    bv = beta_step(np.array([np.inf]), np.array([0.0]), np.array([0.7, -1.3]))
-    assert np.array_equal(bv, [-1.3, 0.7])
-
-
-def test_beta_step_zero_children_give_zero():
-    bv = beta_step(np.zeros(2), np.zeros(2), np.array([3.0, -1.0, 2.0, 5.0]))
-    assert not bv.any()
-
-
-def test_step_size_mismatch():
-    with pytest.raises(ValueError):
-        alpha_step(np.zeros(4), np.zeros(1), np.zeros(2))
-    with pytest.raises(ValueError):
-        beta_step(np.zeros(2), np.zeros(2), np.zeros(3))
 
 
 def test_hard_output_rules():

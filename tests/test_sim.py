@@ -64,8 +64,15 @@ def test_sim_config_validation():
         small_config(max_frames=0)
     with pytest.raises(ValueError):
         small_config(workers=0)
+    with pytest.raises(ValueError, match="master_seed"):
+        small_config(master_seed=-1)
+    small_config(master_seed=0)
     with pytest.raises(ValueError):
         DecoderConfig(kind="magic")
+    # the schedule is checked for every kind, also for SC, which has none
+    for kind in ("sc", "pc-scan"):
+        with pytest.raises(ValueError, match="schedule"):
+            DecoderConfig(kind=kind, schedule="zigzag")
 
 
 def test_noiseless_cell_has_zero_errors():
