@@ -35,13 +35,9 @@ from .decoders import (
     PcScanDecoder,
     ScanDecoder,
     ScDecoder,
-    csr_scan_decode,
     f_op,
     hard_output,
     make_decoder,
-    pc_scan_decode,
-    sc_decode,
-    scan_decode,
 )
 from .encoder import (
     csr_precode,

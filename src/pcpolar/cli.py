@@ -30,7 +30,7 @@ from .construction import (
     chain_groups,
     check_invariants,
 )
-from .decoders import DECODER_KINDS, DampingConfig, DecoderConfig, make_decoder
+from .decoders import DECODER_KINDS, DampingConfig, DecoderConfig, engine, make_decoder
 from .encoder import csr_precode, encode, polar_transform
 from .sim import SimConfig, sweep
 
@@ -323,6 +323,7 @@ def cmd_decode(args) -> int:
         "tool": "pcpolar",
         "version": __version__,
         "config": resolved_config_dict(spec, dec),
+        "engine": decoder.engine,
         "results": results,
     }
     _write_text(args.out, json.dumps(doc, indent=2, allow_nan=False))
@@ -378,9 +379,11 @@ def cmd_simulate(args) -> int:
     rows: list[dict] = []
     per_decoder = []
     config_echo = None
+    engines = set()
     t_start = time.perf_counter()
     for kind in kinds:
         dec = resolve_decoder(cfg, kind=kind)
+        engines.add(engine(dec.kind))
         sim_cfg = resolve_sim(cfg, spec, dec, args)
         if config_echo is None:
             config_echo = resolved_config_dict(spec, dec, sim_cfg)
@@ -406,6 +409,8 @@ def cmd_simulate(args) -> int:
         "timing": {
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "total_seconds": time.perf_counter() - t_start,
+            # "c" when the SCAN-family decoders ran the compiled tree pass
+            "engine": "c" if "c" in engines else "numpy",
         },
     }
     out = args.out or "simulation"

@@ -15,17 +15,30 @@ array in the result mirrors the input's batch shape. A decoder instance
 owns its buffers and is single-threaded; independent instances may run
 concurrently.
 
-The SCAN-family engine stores its per-level alpha and beta messages, the
-PC-SCAN leaf cache and the CSR registers frame-minor, as (N, B) arrays
-((L, B) for the registers): row i holds index i of every frame, so the
-two halves of a tree node are contiguous row blocks and every f runs in
-place over them. Subtrees whose leaves are all frozen-kind (rate-0
-nodes) are not descended into: their leaves feed back +inf, and the
-beta update of two +inf children over finite alphas is +inf again, so
-such a node always returns +inf. A visit of one writes +inf into its beta
-rows at its own level (which the parent reads) and at level 0 (which the
-leaf posteriors read); before its first visit the node keeps beta 0, as
-an unpruned node would.
+The SCAN-family engine stores its per-level alpha and beta messages (one
+(n+1, N, B) array each), the PC-SCAN leaf cache and the CSR registers
+frame-minor, as (N, B) arrays per level ((L, B) for the registers): row
+i holds index i of every frame, so the two halves of a tree node are
+contiguous row blocks and every f runs in place over them. Subtrees
+whose leaves are all frozen-kind (rate-0 nodes) are not descended into:
+their leaves feed back +inf, and the beta update of two +inf children
+over finite alphas is +inf again, so such a node always returns +inf. A
+visit of one writes +inf into its beta rows at its own level (which the
+parent reads) and at level 0 (which the leaf posteriors read); before
+its first visit the node keeps beta 0, as an unpruned node would.
+
+Each SCAN-family pass runs as one call into a compiled C tree pass
+(treepass.c: the traversal, rate-0 pruning, both schedules and the leaf
+kernels) over those same buffers, so the per-pass decisions and the
+results are read back in numpy. The first SCAN-family decoder built in a
+process builds the library with gcc (-O3 -ffp-contract=off, no fast-math)
+into $XDG_CACHE_HOME/pcpolar or ~/.cache/pcpolar, keyed by a SHA-256 of
+source and flags, and loads it through ctypes; see treepass.py. Where it
+cannot be built or loaded, the decoders run the numpy engine below, which
+stays the reference: the two are bitwise-equal, input for input, because
+the C code performs the same IEEE operations in the same order. A
+decoder's `engine` attribute reads "c" or "numpy", and `pcpolar decode`
+and `pcpolar simulate` report it. SC always runs numpy.
 """
 
 from __future__ import annotations
@@ -35,8 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import treepass
 from .channel import LLR_MAX
-from .construction import FROZEN, PC, CodeSpec, PcStructure, RoleMap, derive_pc_structure
+from .construction import FROZEN, PC, PcStructure, RoleMap, derive_pc_structure
 
 # Leaf kernel classes of the parity-check tanner layer.
 LEAF_FROZEN = 0
@@ -200,13 +214,15 @@ class _ScanFamilyDecoder:
 
     The sequential schedule recomputes the right child's alpha after the
     left subtree has refreshed its beta; the literal schedule computes
-    both child alphas on node entry from the pre-visit betas. `frozen`
-    marks the leaves whose feedback is always +inf; subtrees made only of
-    them are pruned (see the module docstring), so the leaf hook only
-    sees the other leaves.
+    both child alphas on node entry from the pre-visit betas. `kind`
+    holds the leaf kernel classes; subtrees made only of frozen-kind
+    leaves are pruned (see the module docstring), so the leaf kernels
+    only see the other leaves. A pass runs as one call into the compiled
+    tree pass when `treepass.load()` has it (`engine` "c"), else through
+    `_traverse` and the `_leaf_visit` hook (`engine` "numpy").
     """
 
-    def __init__(self, rolemap: RoleMap, schedule: str, frozen: np.ndarray):
+    def __init__(self, rolemap: RoleMap, schedule: str, kind: np.ndarray):
         if schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
         self.rolemap = rolemap
@@ -215,8 +231,14 @@ class _ScanFamilyDecoder:
         self.n = self.N.bit_length() - 1
         self._info_pos = rolemap.info_positions
         self._sequential = schedule == SEQUENTIAL
-        # _rate0[s][j]: the level-s node covering leaves [j 2^s, (j+1) 2^s)
-        self._rate0 = [frozen.reshape(-1, 1 << s).all(axis=1) for s in range(self.n + 1)]
+        self._kind = np.ascontiguousarray(kind, dtype=np.int8)
+        # _rate0[s, j], j < N >> s: the level-s node covering leaves [j 2^s, (j+1) 2^s)
+        frozen = self._kind == LEAF_FROZEN
+        self._rate0 = np.zeros((self.n + 1, self.N), dtype=np.uint8)
+        for s in range(self.n + 1):
+            self._rate0[s, : self.N >> s] = frozen.reshape(-1, 1 << s).all(axis=1)
+        self._lib = treepass.load()
+        self.engine = "numpy" if self._lib is None else "c"
 
     # subclass hooks
     def _begin_iteration(self, t: int) -> None:
@@ -225,19 +247,26 @@ class _ScanFamilyDecoder:
     def _leaf_visit(self, u: int) -> None:
         raise NotImplementedError
 
+    def _compiled_pass(self, B: int) -> None:
+        raise NotImplementedError
+
     def decode(self, llrs, t_max: int = 1) -> DecodeResult:
         if t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         root, single = _as_llr_batch(llrs, self.N)
         B = root.shape[0]
-        self._alpha = [np.zeros((self.N, B)) for _ in range(self.n + 1)]
-        self._beta = [np.zeros((self.N, B)) for _ in range(self.n + 1)]
-        self._alpha[self.n][:] = root.T
-        self._tmp = np.empty((self.N // 2, B))
+        self._alpha = np.zeros((self.n + 1, self.N, B))
+        self._beta = np.zeros((self.n + 1, self.N, B))
+        self._alpha[self.n] = root.T
+        if self._lib is None:
+            self._tmp = np.empty((self.N // 2, B))
         snapshots = []
         for t in range(t_max):
             self._begin_iteration(t)
-            self._traverse(self.n, 0)
+            if self._lib is None:
+                self._traverse(self.n, 0)
+            else:
+                self._compiled_pass(B)
             snapshots.append(self._hard_info())
         leaf_post = np.ascontiguousarray((self._alpha[0] + self._beta[0]).T)
         extr = np.ascontiguousarray(self._beta[self.n].T)
@@ -251,7 +280,7 @@ class _ScanFamilyDecoder:
 
     def _traverse(self, s: int, base: int) -> None:
         end = base + (1 << s)
-        if self._rate0[s][base >> s]:
+        if self._rate0[s, base >> s]:
             self._beta[s][base:end] = np.inf
             self._beta[0][base:end] = np.inf
             return
@@ -279,6 +308,24 @@ class _ScanFamilyDecoder:
         beta[mid:end] += b_hi
 
 
+def _leaf_sets(pcs: PcStructure, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index sets the PC-SCAN leaf kernels fold f over, as int64
+    (leaf_ptr, set_ptr, set_idx): leaf u owns sets leaf_ptr[u]:leaf_ptr[u+1]
+    and set k is set_idx[set_ptr[k]:set_ptr[k+1]]. A PC leaf owns its
+    checked set I(u); a checked info leaf owns, for each checking PC bit in
+    P(u) order, that bit followed by the other info bits it checks."""
+    owned: dict[int, list[list[int]]] = {u: [list(iu)] for u, iu in pcs.checked_sets.items() if iu}
+    for u in pcs.checked_info:
+        owned[u] = [[up] + [j for j in pcs.checked_sets[up] if j != u] for up in pcs.checking_sets[u]]
+    sets = [s for u in range(N) for s in owned.get(u, ())]
+    leaf_ptr = np.cumsum([0] + [len(owned.get(u, ())) for u in range(N)], dtype=np.int64)
+    set_ptr = np.cumsum([0] + [len(s) for s in sets], dtype=np.int64)
+    set_idx = np.array([j for s in sets for j in s], dtype=np.int64)
+    if ((set_idx < 0) | (set_idx >= N)).any():
+        raise ValueError(f"parity sets index outside [0, {N})")
+    return leaf_ptr, set_ptr, set_idx
+
+
 class PcScanDecoder(_ScanFamilyDecoder):
     """PC-SCAN: soft cancellation with tanner-layer parity leaf kernels.
 
@@ -297,25 +344,21 @@ class PcScanDecoder(_ScanFamilyDecoder):
         damping: DampingConfig | None = None,
         schedule: str = SEQUENTIAL,
     ):
-        self._kind = classify_leaves(rolemap, pcs)
-        super().__init__(rolemap, schedule, self._kind == LEAF_FROZEN)
+        super().__init__(rolemap, schedule, classify_leaves(rolemap, pcs))
         self.damping = damping if damping is not None else DampingConfig()
-        self._pc_cols = {
-            u: np.array(iu, dtype=int) for u, iu in pcs.checked_sets.items() if iu
-        }
-        self._contribs: dict[int, list[np.ndarray]] = {}
-        for u in pcs.checked_info:
-            cols = []
-            for up in pcs.checking_sets[u]:
-                others = [j for j in pcs.checked_sets[up] if j != u]
-                cols.append(np.array([up] + others, dtype=int))
-            self._contribs[u] = cols
+        self._sets = _leaf_sets(pcs, self.N)
 
     def _begin_iteration(self, t: int) -> None:
         if t == 0:
             self._cache = np.zeros_like(self._alpha[0])
         self._lam_p = self.damping.lambda_p_at(t)
         self._lam_i = self.damping.lambda_i_at(t)
+
+    def _compiled_pass(self, B: int) -> None:
+        self._lib.pc_scan_pass(
+            self.n, B, self._sequential, self._alpha, self._beta, self._rate0, self._kind,
+            self._cache, self._lam_p, self._lam_i, *self._sets,
+        )
 
     def _leaf_visit(self, u: int) -> None:
         k = self._kind[u]
@@ -324,11 +367,13 @@ class PcScanDecoder(_ScanFamilyDecoder):
             out[:] = 0.0
             return
         self._cache[u] = self._alpha[0][u]
+        leaf_ptr, set_ptr, set_idx = self._sets
+        sets = [set_idx[set_ptr[j] : set_ptr[j + 1]] for j in range(leaf_ptr[u], leaf_ptr[u + 1])]
         if k == LEAF_PC:
-            np.multiply(self._lam_p, f_reduce(self._cache[self._pc_cols[u]], axis=0), out=out)
+            np.multiply(self._lam_p, f_reduce(self._cache[sets[0]], axis=0), out=out)
         else:
             out[:] = 0.0
-            for cols in self._contribs[u]:
+            for cols in sets:
                 out += self._lam_i * f_reduce(self._cache[cols], axis=0)
 
 
@@ -357,18 +402,25 @@ class CsrScanDecoder(_ScanFamilyDecoder):
     """
 
     def __init__(self, rolemap: RoleMap, pcs: PcStructure, schedule: str = SEQUENTIAL):
-        super().__init__(rolemap, schedule, classify_leaves(rolemap, pcs) == LEAF_FROZEN)
+        if pcs.L < 1:
+            raise ValueError(f"register count L must be >= 1, got {pcs.L}")
+        super().__init__(rolemap, schedule, classify_leaves(rolemap, pcs))
         self.L = pcs.L
-        self._role = rolemap.role
 
     def _begin_iteration(self, t: int) -> None:
         if t == 0:
             self._delta = np.empty((self.L, self._alpha[0].shape[1]))
         self._delta[:] = np.inf
 
+    def _compiled_pass(self, B: int) -> None:
+        self._lib.csr_scan_pass(
+            self.n, B, self._sequential, self._alpha, self._beta, self._rate0, self._kind,
+            self.L, self._delta,
+        )
+
     def _leaf_visit(self, u: int) -> None:
         r = u % self.L
-        if self._role[u] == PC:
+        if self._kind[u] == LEAF_PC:
             self._beta[0][u] = self._delta[r]
         else:
             f_pair(self._delta[r], self._alpha[0][u], out=self._delta[r])
@@ -383,6 +435,8 @@ class ScDecoder:
     decision. Soft outputs are the hard-decision-equivalent +-inf
     posteriors; coded extrinsics are all-zero.
     """
+
+    engine = "numpy"
 
     def __init__(self, rolemap: RoleMap, pcs: PcStructure):
         self.rolemap = rolemap
@@ -437,34 +491,8 @@ def make_decoder(rolemap: RoleMap, pcs: PcStructure, dec: DecoderConfig):
     return build[dec.kind]()
 
 
-def sc_decode(llrs, spec: CodeSpec, rolemap: RoleMap, pcs: PcStructure) -> DecodeResult:
-    return ScDecoder(rolemap, pcs).decode(llrs)
-
-
-def scan_decode(
-    llrs, spec: CodeSpec, rolemap: RoleMap, t_max: int = 1, schedule: str = SEQUENTIAL
-) -> DecodeResult:
-    return ScanDecoder(rolemap, schedule).decode(llrs, t_max)
-
-
-def pc_scan_decode(
-    llrs,
-    spec: CodeSpec,
-    rolemap: RoleMap,
-    pcs: PcStructure,
-    damping: DampingConfig | None = None,
-    t_max: int = 1,
-    schedule: str = SEQUENTIAL,
-) -> DecodeResult:
-    return PcScanDecoder(rolemap, pcs, damping, schedule).decode(llrs, t_max)
-
-
-def csr_scan_decode(
-    llrs,
-    spec: CodeSpec,
-    rolemap: RoleMap,
-    pcs: PcStructure,
-    t_max: int = 1,
-    schedule: str = SEQUENTIAL,
-) -> DecodeResult:
-    return CsrScanDecoder(rolemap, pcs, schedule).decode(llrs, t_max)
+def engine(kind: str) -> str:
+    """The engine decoders of this kind run on, as their `engine` attribute
+    reads: "c" for the compiled tree pass, else "numpy". SC always runs
+    numpy; the SCAN family does where the tree pass cannot be loaded."""
+    return "numpy" if kind == "sc" or treepass.load() is None else "c"

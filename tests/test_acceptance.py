@@ -26,12 +26,12 @@ from pcpolar.construction import (
     derive_pc_structure,
 )
 from pcpolar.decoders import (
+    CsrScanDecoder,
     DampingConfig,
-    csr_scan_decode,
+    PcScanDecoder,
+    ScanDecoder,
+    ScDecoder,
     f_op,
-    pc_scan_decode,
-    sc_decode,
-    scan_decode,
 )
 from pcpolar.encoder import (
     csr_precode,
@@ -114,8 +114,8 @@ def test_criterion_2_flagship_csr_equivalence():
         rm, pcs = build_code(spec)
         _, llr = random_llr_frames(spec, rm, pcs, 1000, 2.0, seed)
         for t_max in (1, 4):
-            a = pc_scan_decode(llr, spec, rm, pcs, damping=unit, t_max=t_max)
-            b = csr_scan_decode(llr, spec, rm, pcs, t_max=t_max)
+            a = PcScanDecoder(rm, pcs, unit).decode(llr, t_max)
+            b = CsrScanDecoder(rm, pcs).decode(llr, t_max)
             if not results_equal(a, b):
                 failures.append((spec.N, t_max))
     elapsed = time.perf_counter() - t0
@@ -136,8 +136,8 @@ def test_criterion_3_reduction_to_scan():
         rm, pcs = build_code(spec)
         _, llr = random_llr_frames(spec, rm, pcs, 1000, 2.0, seed)
         for t_max in (1, 4):
-            a = pc_scan_decode(llr, spec, rm, pcs, t_max=t_max)
-            b = scan_decode(llr, spec, rm, t_max=t_max)
+            a = PcScanDecoder(rm, pcs).decode(llr, t_max)
+            b = ScanDecoder(rm).decode(llr, t_max)
             if not results_equal(a, b):
                 failures.append((N, t_max))
     line = report(
@@ -164,13 +164,13 @@ def test_criterion_4_noiseless_correctness():
         x = encode(msg, spec, rm, pcs)
         llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
         runs = {
-            "sc": sc_decode(llr, spec, rm, pcs).info_bits,
-            "pc-scan": pc_scan_decode(llr, spec, rm, pcs, t_max=2).info_bits,
-            "csr-scan": csr_scan_decode(llr, spec, rm, pcs, t_max=2).info_bits,
+            "sc": ScDecoder(rm, pcs).decode(llr).info_bits,
+            "pc-scan": PcScanDecoder(rm, pcs).decode(llr, 2).info_bits,
+            "csr-scan": CsrScanDecoder(rm, pcs).decode(llr, 2).info_bits,
         }
         if name == "none":
             # plain scan requires an empty PC set by contract
-            runs["scan"] = scan_decode(llr, spec, rm, t_max=2).info_bits
+            runs["scan"] = ScanDecoder(rm).decode(llr, 2).info_bits
         for dec, bits in runs.items():
             if not np.array_equal(bits, msg):
                 failures.append((name, dec))

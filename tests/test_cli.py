@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from pcpolar import __version__
+from pcpolar import __version__, treepass
 from pcpolar.channel import channel_llrs, modulate_bpsk
 from pcpolar.cli import main, read_result_csv, snr_at_fer
 from pcpolar.construction import CodeSpec, build_code
@@ -19,7 +19,6 @@ from pcpolar.decoders import (
     ScanDecoder,
     ScDecoder,
     make_decoder,
-    sc_decode,
 )
 from pcpolar.encoder import encode
 
@@ -181,7 +180,7 @@ def test_decode_encodes_infinities_as_strings(tmp_path):
     assert main(args + ["--out", str(out)]) == 0
     post = strict_json(out.read_text())["results"][0]["leaf_posteriors"]
     assert set(post) <= {"inf", "-inf"}
-    expected = sc_decode(llr, spec, rm, pcs).leaf_posteriors
+    expected = ScDecoder(rm, pcs).decode(llr).leaf_posteriors
     assert np.array_equal(np.array(post, dtype=float), expected)
 
 
@@ -259,6 +258,31 @@ def test_simulate_writes_artifacts(tmp_path):
     dat = (tmp_path / "runs" / "out.dat").read_text()
     assert "# decoder=csr-scan iter=1" in dat
     assert "# decoder=csr-scan iter=2" in dat
+
+
+def test_engine_is_reported(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    llrs = "--llrs=" + ",".join(["1.0"] * 16)
+
+    def engines():
+        assert main(["decode", "--config", cfg, llrs, "--out", str(tmp_path / "d.json")]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        return json.loads((tmp_path / "d.json").read_text())["engine"], json.loads(
+            (tmp_path / "s.json").read_text()
+        )["timing"]["engine"]
+
+    compiled = "numpy" if treepass.load() is None else "c"
+    assert engines() == (compiled, compiled)
+    monkeypatch.setattr(treepass, "load", lambda: None)
+    assert engines() == ("numpy", "numpy")
+
+    def unreachable():
+        raise AssertionError("SC must not load the compiled tree pass")
+
+    # SC runs numpy and never loads the library
+    monkeypatch.setattr(treepass, "load", unreachable)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sc"), "--decoders", "sc"]) == 0
+    assert json.loads((tmp_path / "sc.json").read_text())["timing"]["engine"] == "numpy"
 
 
 def test_simulate_noiseless_flag(tmp_path):

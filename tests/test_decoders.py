@@ -1,30 +1,38 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcpolar import treepass
 from pcpolar.channel import LLR_MAX, channel_llrs, ebn0_to_sigma, modulate_bpsk
 from pcpolar.construction import FROZEN, INFO, PC, CodeSpec, RoleMap, build_code, derive_pc_structure
 from pcpolar.decoders import (
     CsrScanDecoder,
     DampingConfig,
+    DecoderConfig,
     PcScanDecoder,
     ScanDecoder,
     ScDecoder,
-    csr_scan_decode,
     f_op,
     f_pair,
     hard_output,
-    pc_scan_decode,
-    sc_decode,
-    scan_decode,
+    make_decoder,
 )
 from pcpolar.encoder import encode, polar_transform
 
 llr_values = st.floats(min_value=-50, max_value=50, allow_nan=False)
+
+
+def numpy_engine():
+    """Inside this block, SCAN-family decoders are built on the numpy engine."""
+    return mock.patch.object(treepass, "load", lambda: None)
 
 
 def noisy_llrs(spec, rm, pcs, frames, ebn0_db, seed):
@@ -119,7 +127,7 @@ def test_sc_noiseless_all_zero():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
     rm, pcs = build_code(spec)
     llr = channel_llrs(modulate_bpsk(np.zeros(64, dtype=np.uint8)), 0.0, noiseless=True)
-    res = sc_decode(llr, spec, rm, pcs)
+    res = ScDecoder(rm, pcs).decode(llr)
     assert not res.info_bits.any()
     assert res.iterations_run == 1
 
@@ -139,7 +147,7 @@ def test_sc_noiseless_round_trip(spec):
     msg = rng.integers(0, 2, (200, spec.K), dtype=np.uint8)
     x = encode(msg, spec, rm, pcs)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
-    res = sc_decode(llr, spec, rm, pcs)
+    res = ScDecoder(rm, pcs).decode(llr)
     assert np.array_equal(res.info_bits, msg)
 
 
@@ -159,7 +167,7 @@ def test_sc_rate_one_matches_map():
     spec = CodeSpec(N=4, K=4)
     rm, pcs = build_code(spec)
     llr = np.array([-1.0, -1.0, -1.0, -1.0])
-    res = sc_decode(llr, spec, rm, pcs)
+    res = ScDecoder(rm, pcs).decode(llr)
     assert np.array_equal(res.info_bits, brute_force_map(llr, spec, rm, pcs))
 
 
@@ -177,7 +185,7 @@ def test_sc_soft_fields_shape():
     spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
     rm, pcs = build_code(spec)
     msg, llr = noisy_llrs(spec, rm, pcs, 3, 2.0, 0)
-    res = sc_decode(llr, spec, rm, pcs)
+    res = ScDecoder(rm, pcs).decode(llr)
     assert res.leaf_posteriors.shape == (3, 16)
     assert np.all(np.isinf(res.leaf_posteriors))
     assert not res.coded_extrinsics.any()
@@ -248,7 +256,7 @@ def test_scan_matches_reference_golden_vectors():
     assert list(rm.frozen_positions) == [0, 1, 2, 4]
     llr = np.array(GOLDEN_LLR)
     for t in (1, 2):
-        res = scan_decode(llr, spec, rm, t_max=t)
+        res = ScanDecoder(rm).decode(llr, t)
         ref_post, ref_root = scan_reference(GOLDEN_LLR, rm.role == FROZEN, t)
         assert np.array_equal(res.leaf_posteriors, ref_post)
         assert np.array_equal(res.coded_extrinsics, ref_root)
@@ -262,7 +270,7 @@ def test_scan_matches_reference_randomized(seed, t_max):
     spec = CodeSpec(N=16, K=8)
     rm, _ = build_code(spec)
     llr = np.random.default_rng(seed).normal(0, 2, 16)
-    res = scan_decode(llr, spec, rm, t_max=t_max)
+    res = ScanDecoder(rm).decode(llr, t_max)
     ref_post, ref_root = scan_reference(list(llr), rm.role == FROZEN, t_max)
     assert np.allclose(res.leaf_posteriors, ref_post, atol=1e-12)
     assert np.allclose(res.coded_extrinsics, ref_root, atol=1e-12)
@@ -275,7 +283,7 @@ def test_scan_noiseless_single_iteration():
     msg = rng.integers(0, 2, (100, 32), dtype=np.uint8)
     x = encode(msg, spec, rm, pcs)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
-    res = scan_decode(llr, spec, rm, t_max=1)
+    res = ScanDecoder(rm).decode(llr, 1)
     assert np.array_equal(res.info_bits, msg)
 
 
@@ -283,7 +291,7 @@ def test_scan_rate_one_has_zero_extrinsics():
     spec = CodeSpec(N=16, K=16)
     rm, _ = build_code(spec)
     llr = np.random.default_rng(3).normal(0, 1, 16)
-    res = scan_decode(llr, spec, rm, t_max=1)
+    res = ScanDecoder(rm).decode(llr, 1)
     assert not res.coded_extrinsics.any()
 
 
@@ -291,16 +299,16 @@ def test_scan_rejects_pc_codes():
     spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
     rm, _ = build_code(spec)
     with pytest.raises(ValueError, match="PC"):
-        scan_decode(np.zeros(16), spec, rm, t_max=1)
+        ScanDecoder(rm).decode(np.zeros(16), 1)
 
 
 def test_scan_rejects_bad_inputs():
     spec = CodeSpec(N=16, K=8)
     rm, _ = build_code(spec)
     with pytest.raises(ValueError):
-        scan_decode(np.zeros(15), spec, rm, t_max=1)
+        ScanDecoder(rm).decode(np.zeros(15), 1)
     with pytest.raises(ValueError):
-        scan_decode(np.zeros(16), spec, rm, t_max=0)
+        ScanDecoder(rm).decode(np.zeros(16), 0)
     with pytest.raises(ValueError):
         ScanDecoder(rm, schedule="zigzag")
 
@@ -333,14 +341,14 @@ def test_pc_scan_zero_damping_equals_scan_with_neutralized_pcs():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
     rm, pcs = build_code(spec)
     _, llr = noisy_llrs(spec, rm, pcs, 20, 2.0, 2)
-    res = pc_scan_decode(llr, spec, rm, pcs, damping=DampingConfig((0.0,), (0.0,)), t_max=3)
+    res = PcScanDecoder(rm, pcs, DampingConfig((0.0,), (0.0,))).decode(llr, 3)
     # neutralized comparison: PC positions play as unchecked info (beta = 0),
     # except degenerate PCs which stay frozen-equivalent
     role2 = rm.role.copy()
     for u in rm.pc_positions:
         role2[u] = INFO if pcs.checked_sets[int(u)] else FROZEN
     rm2 = RoleMap(role=role2)
-    ref = scan_decode(llr, CodeSpec(N=64, K=int(rm2.K)), rm2, t_max=3)
+    ref = ScanDecoder(rm2).decode(llr, 3)
     assert np.array_equal(res.leaf_posteriors, ref.leaf_posteriors)
     assert np.array_equal(res.coded_extrinsics, ref.coded_extrinsics)
 
@@ -350,8 +358,8 @@ def test_pc_scan_reduces_to_scan_without_pcs():
     rm, pcs = build_code(spec)
     _, llr = noisy_llrs(spec, rm, pcs, 25, 2.0, 3)
     for t in (1, 3):
-        a = pc_scan_decode(llr, spec, rm, pcs, t_max=t)
-        b = scan_decode(llr, spec, rm, t_max=t)
+        a = PcScanDecoder(rm, pcs).decode(llr, t)
+        b = ScanDecoder(rm).decode(llr, t)
         assert np.array_equal(a.info_bits, b.info_bits)
         assert np.array_equal(a.leaf_posteriors, b.leaf_posteriors)
         assert np.array_equal(a.coded_extrinsics, b.coded_extrinsics)
@@ -365,7 +373,7 @@ def test_pc_scan_noiseless():
     msg = rng.integers(0, 2, (100, 32), dtype=np.uint8)
     x = encode(msg, spec, rm, pcs)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
-    res = pc_scan_decode(llr, spec, rm, pcs, t_max=2)
+    res = PcScanDecoder(rm, pcs).decode(llr, 2)
     assert np.array_equal(res.info_bits, msg)
 
 
@@ -373,7 +381,7 @@ def test_pc_scan_iteration_snapshots():
     spec = CodeSpec(N=32, K=16, scheme="fc", L=3)
     rm, pcs = build_code(spec)
     _, llr = noisy_llrs(spec, rm, pcs, 10, 2.0, 4)
-    res = pc_scan_decode(llr, spec, rm, pcs, t_max=4)
+    res = PcScanDecoder(rm, pcs).decode(llr, 4)
     assert res.iterations_run == 4
     assert len(res.iteration_info_bits) == 4
     assert np.array_equal(res.iteration_info_bits[-1], res.info_bits)
@@ -396,8 +404,8 @@ def test_pc_scan_iteration_snapshots():
 def test_csr_equals_pc_scan_with_unit_damping(spec, t_max):
     rm, pcs = build_code(spec)
     _, llr = noisy_llrs(spec, rm, pcs, 50, 2.0, 5)
-    a = pc_scan_decode(llr, spec, rm, pcs, damping=DampingConfig((1.0,), (0.0,)), t_max=t_max)
-    b = csr_scan_decode(llr, spec, rm, pcs, t_max=t_max)
+    a = PcScanDecoder(rm, pcs, DampingConfig((1.0,), (0.0,))).decode(llr, t_max)
+    b = CsrScanDecoder(rm, pcs).decode(llr, t_max)
     assert np.array_equal(a.info_bits, b.info_bits)
     assert np.array_equal(a.leaf_posteriors, b.leaf_posteriors)
     assert np.array_equal(a.coded_extrinsics, b.coded_extrinsics)
@@ -411,12 +419,11 @@ def test_csr_equals_pc_scan_exhaustive_n8():
     role[[2, 4]] = PC
     rm = RoleMap(role=role)
     pcs = derive_pc_structure(rm, 2)
-    spec = CodeSpec(N=8, K=4, scheme="fc", L=2)
     patterns = ((np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1).astype(float)
     llr = 1.0 - 2.0 * patterns
     for t in (1, 2, 3):
-        a = pc_scan_decode(llr, spec, rm, pcs, damping=DampingConfig((1.0,), (0.0,)), t_max=t)
-        b = csr_scan_decode(llr, spec, rm, pcs, t_max=t)
+        a = PcScanDecoder(rm, pcs, DampingConfig((1.0,), (0.0,))).decode(llr, t)
+        b = CsrScanDecoder(rm, pcs).decode(llr, t)
         assert np.array_equal(a.leaf_posteriors, b.leaf_posteriors)
         assert np.array_equal(a.coded_extrinsics, b.coded_extrinsics)
 
@@ -426,9 +433,8 @@ def test_csr_degenerate_pc_feeds_back_infinity():
     role = np.array([FROZEN, PC, FROZEN, INFO, PC, INFO, INFO, INFO], dtype=np.int8)
     rm = RoleMap(role=role)
     pcs = derive_pc_structure(rm, 3)
-    spec = CodeSpec(N=8, K=4, scheme="fc", L=3)
     llr = np.random.default_rng(6).normal(0, 2, 8)
-    res = csr_scan_decode(llr, spec, rm, pcs, t_max=2)
+    res = CsrScanDecoder(rm, pcs).decode(llr, 2)
     assert res.leaf_posteriors[1] == np.inf
 
 
@@ -439,7 +445,7 @@ def test_csr_noiseless():
     msg = rng.integers(0, 2, (100, 20), dtype=np.uint8)
     x = encode(msg, spec, rm, pcs)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
-    res = csr_scan_decode(llr, spec, rm, pcs, t_max=3)
+    res = CsrScanDecoder(rm, pcs).decode(llr, 3)
     assert np.array_equal(res.info_bits, msg)
 
 
@@ -451,9 +457,9 @@ def test_decoders_are_deterministic():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
     rm, pcs = build_code(spec)
     _, llr = noisy_llrs(spec, rm, pcs, 10, 2.0, 8)
-    a, b = sc_decode(llr, spec, rm, pcs), sc_decode(llr, spec, rm, pcs)
+    a, b = ScDecoder(rm, pcs).decode(llr), ScDecoder(rm, pcs).decode(llr)
     assert np.array_equal(a.info_bits, b.info_bits)
-    c, d = (csr_scan_decode(llr, spec, rm, pcs, t_max=3) for _ in range(2))
+    c, d = (CsrScanDecoder(rm, pcs).decode(llr, 3) for _ in range(2))
     assert np.array_equal(c.leaf_posteriors, d.leaf_posteriors)
 
 
@@ -461,13 +467,13 @@ def test_single_frame_equals_batch_row():
     spec = CodeSpec(N=32, K=16, scheme="fc", L=3)
     rm, pcs = build_code(spec)
     _, llr = noisy_llrs(spec, rm, pcs, 4, 2.0, 9)
-    batch = csr_scan_decode(llr, spec, rm, pcs, t_max=2)
-    one = csr_scan_decode(llr[2], spec, rm, pcs, t_max=2)
+    batch = CsrScanDecoder(rm, pcs).decode(llr, 2)
+    one = CsrScanDecoder(rm, pcs).decode(llr[2], 2)
     assert one.info_bits.shape == (16,)
     assert np.array_equal(one.info_bits, batch.info_bits[2])
     assert np.array_equal(one.leaf_posteriors, batch.leaf_posteriors[2])
-    sc_b = sc_decode(llr, spec, rm, pcs)
-    sc_1 = sc_decode(llr[2], spec, rm, pcs)
+    sc_b = ScDecoder(rm, pcs).decode(llr)
+    sc_1 = ScDecoder(rm, pcs).decode(llr[2])
     assert np.array_equal(sc_1.info_bits, sc_b.info_bits[2])
 
 
@@ -478,7 +484,7 @@ def test_no_nans_anywhere_in_soft_outputs():
     msg = rng.integers(0, 2, (50, 32), dtype=np.uint8)
     x = encode(msg, spec, rm, pcs)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)  # saturated, worst case
-    res = pc_scan_decode(llr, spec, rm, pcs, t_max=4)
+    res = PcScanDecoder(rm, pcs).decode(llr, 4)
     assert not np.isnan(res.leaf_posteriors).any()
     assert not np.isnan(res.coded_extrinsics).any()
     assert not np.isnan(res.coded_posteriors).any()
@@ -567,22 +573,28 @@ def golden_decode(code, decoder, schedule, frames):
     if frames == "single":
         llr = llr[3]
     if decoder == "sc":  # one pass, no schedule ("-" in the key)
-        return sc_decode(llr, spec, rm, pcs)
+        return ScDecoder(rm, pcs).decode(llr)
     if decoder == "scan":  # same N and K, no PC bits
         plain = CodeSpec(N=spec.N, K=spec.K)
-        return scan_decode(llr, plain, build_code(plain)[0], t_max=3, schedule=schedule)
+        return ScanDecoder(build_code(plain)[0], schedule).decode(llr, 3)
     if decoder == "pc-scan":
-        return pc_scan_decode(llr, spec, rm, pcs, t_max=3, schedule=schedule)
-    return csr_scan_decode(llr, spec, rm, pcs, t_max=3, schedule=schedule)
+        return PcScanDecoder(rm, pcs, schedule=schedule).decode(llr, 3)
+    return CsrScanDecoder(rm, pcs, schedule).decode(llr, 3)
+
+
+def changed_golden_digests(keys=GOLDEN_DIGESTS):
+    return [key for key in keys if result_digest(golden_decode(*key.split("/"))) != GOLDEN_DIGESTS[key]]
 
 
 def test_scan_family_golden_digests():
-    changed = [
-        key
-        for key, digest in GOLDEN_DIGESTS.items()
-        if result_digest(golden_decode(*key.split("/"))) != digest
-    ]
+    changed = changed_golden_digests()
     assert not changed, f"decoder outputs changed for {changed}"
+
+
+def test_scan_family_golden_digests_numpy_engine():
+    with numpy_engine():
+        changed = changed_golden_digests()
+    assert not changed, f"numpy engine outputs changed for {changed}"
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +647,8 @@ def test_no_nans_at_extreme_llr_magnitudes(values):
         res = decode(llr)
         for field in (res.leaf_posteriors, res.coded_extrinsics, res.coded_posteriors):
             assert not np.isnan(field).any(), name
+        with numpy_engine():  # the compiled pass equals the numpy engine bitwise
+            assert result_digest(res) == result_digest(decode(llr)), name
 
 
 def test_literal_schedule_noiseless_round_trip():
@@ -644,12 +658,12 @@ def test_literal_schedule_noiseless_round_trip():
     msg = rng.integers(0, 2, (50, 16), dtype=np.uint8)
     x = encode(msg, spec, rm, pcs)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
-    res = pc_scan_decode(llr, spec, rm, pcs, t_max=2, schedule="literal")
+    res = PcScanDecoder(rm, pcs, schedule="literal").decode(llr, 2)
     assert np.array_equal(res.info_bits, msg)
     # the two schedules genuinely differ on noisy input
     _, noisy = noisy_llrs(spec, rm, pcs, 50, 1.0, 17)
-    seq = pc_scan_decode(noisy, spec, rm, pcs, t_max=2, schedule="sequential")
-    lit = pc_scan_decode(noisy, spec, rm, pcs, t_max=2, schedule="literal")
+    seq = PcScanDecoder(rm, pcs, schedule="sequential").decode(noisy, 2)
+    lit = PcScanDecoder(rm, pcs, schedule="literal").decode(noisy, 2)
     assert not np.array_equal(seq.leaf_posteriors, lit.leaf_posteriors)
 
 
@@ -668,3 +682,94 @@ def test_damping_config_validation():
     assert d.lambda_p_at(1) == 0.5
     assert d.lambda_p_at(9) == 0.5  # last entry repeats
     assert d.lambda_i_at(9) == 0.67
+
+
+# ---------------------------------------------------------------------------
+# compiled tree pass: bitwise equal to the numpy engine, safe to build
+
+needs_compiled = pytest.mark.skipif(treepass.load() is None, reason="no compiled tree pass on this platform")
+
+
+@needs_compiled
+@pytest.mark.parametrize("schedule", ["sequential", "literal"])
+def test_compiled_pass_equals_numpy_engine_n1024(schedule):
+    spec = GOLDEN_CODES["1024-fc"]
+    rm, pcs = build_code(spec)
+    plain_rm, _ = build_code(CodeSpec(N=1024, K=512))
+    _, llr = noisy_llrs(spec, rm, pcs, 64, 1.5, 4242)
+    llr[0, :7] = [0.0, -0.0, 5e-324, -5e-324, 1e12, -1e12, LLR_MAX]
+    builds = {
+        "scan": lambda: ScanDecoder(plain_rm, schedule),
+        "csr-scan": lambda: CsrScanDecoder(rm, pcs, schedule),
+    }
+    for damping in (None, DampingConfig((0.8, 1.0), (0.5, 0.67, 0.9)), DampingConfig((1.0,), (0.0,))):
+        builds[f"pc-scan {damping}"] = lambda d=damping: PcScanDecoder(rm, pcs, d, schedule)
+    for name, build in builds.items():
+        dec = build()
+        with numpy_engine():
+            ref = build()
+        assert (dec.engine, ref.engine) == ("c", "numpy")
+        assert result_digest(dec.decode(llr, 4)) == result_digest(ref.decode(llr, 4)), name
+
+
+@pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    """treepass.load() with its process cache emptied and the build cache
+    under tmp_path; the real loader is restored afterwards."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    treepass.load.cache_clear()
+    yield tmp_path / "cache" / "pcpolar"
+    treepass.load.cache_clear()
+
+
+FALLBACK_KEYS = [k for k in GOLDEN_DIGESTS if k.startswith("64-fc/") and "/sc/" not in k]
+
+
+def assert_numpy_fallback():
+    pc_code, plain_code = build_code(GOLDEN_CODES["64-fc"]), build_code(CodeSpec(N=64, K=32))
+    for kind, code in (("scan", plain_code), ("pc-scan", pc_code), ("csr-scan", pc_code)):
+        assert make_decoder(*code, DecoderConfig(kind=kind, t_max=3)).engine == "numpy"
+    assert not changed_golden_digests(FALLBACK_KEYS)
+
+
+def test_no_compiler_falls_back_to_numpy(fresh_loader, tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    assert_numpy_fallback()
+    assert not list(fresh_loader.glob("*.so"))
+
+
+@pytest.mark.parametrize("how", ["not-a-directory", "writable-by-others"])
+def test_unusable_cache_dir_falls_back_to_numpy(fresh_loader, tmp_path, monkeypatch, how):
+    if how == "not-a-directory":
+        fresh_loader.parent.write_text("")
+    else:
+        fresh_loader.mkdir(parents=True)
+        fresh_loader.chmod(0o777)
+    assert_numpy_fallback()
+
+
+@needs_compiled
+def test_build_is_keyed_and_leaves_no_temporaries(fresh_loader):
+    fresh_loader.mkdir(mode=0o700, parents=True)
+    stale = fresh_loader / ("treepass-" + "0" * 64 + ".so")
+    stale.write_bytes(b"not a library")
+    assert treepass.load() is not None  # the stale file would not load
+    built = treepass.build(fresh_loader)
+    assert built != stale and built.name.startswith("treepass-")
+    assert sorted(fresh_loader.iterdir()) == sorted([stale, built])
+
+
+@needs_compiled
+def test_concurrent_builds_both_load(fresh_loader):
+    script = "import sys; from pcpolar import treepass; sys.exit(treepass.load() is None)"
+    src = os.path.dirname(os.path.dirname(treepass.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    procs = [subprocess.Popen([sys.executable, "-c", script], env=env) for _ in range(2)]
+    try:
+        assert [p.wait(timeout=300) for p in procs] == [0, 0]
+    finally:
+        for p in procs:
+            p.kill()
+    assert fresh_loader.stat().st_mode & 0o777 == 0o700
+    assert len(list(fresh_loader.glob("*.so"))) == 1
+    assert not list(fresh_loader.glob("*.tmp"))
