@@ -4,13 +4,11 @@ __version__ = "0.1.0"
 
 from .channel import (
     LLR_MAX,
-    ChannelParams,
     awgn,
     channel_llrs,
     ebn0_to_sigma,
     frame_rng,
     modulate_bpsk,
-    sigma_to_ebn0,
 )
 from .construction import (
     FROZEN,
@@ -35,14 +33,10 @@ from .decoders import (
     PcScanDecoder,
     ScanDecoder,
     ScDecoder,
-    f_op,
-    hard_output,
     make_decoder,
 )
 from .encoder import (
     csr_precode,
-    dense_transform,
-    direct_precode,
     encode,
     polar_transform,
 )

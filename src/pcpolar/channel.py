@@ -7,8 +7,6 @@ worker count or trial order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Saturating LLR magnitude used at the channel interface for noiseless
@@ -21,24 +19,6 @@ def ebn0_to_sigma(ebn0_db: float, rate: float) -> float:
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     return float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
-
-
-def sigma_to_ebn0(sigma: float, rate: float) -> float:
-    if sigma <= 0 or not 0 < rate <= 1:
-        raise ValueError("sigma must be positive and rate in (0, 1]")
-    return float(10.0 * np.log10(1.0 / (2.0 * rate * sigma * sigma)))
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """SNR point of a simulation: Eb/N0 in dB plus the code rate."""
-
-    ebn0_db: float
-    rate: float
-
-    @property
-    def sigma(self) -> float:
-        return ebn0_to_sigma(self.ebn0_db, self.rate)
 
 
 def modulate_bpsk(x) -> np.ndarray:

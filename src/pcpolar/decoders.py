@@ -1,10 +1,11 @@
-"""SC, SCAN, PC-SCAN and CSR-SCAN decoders over the shared polar tree.
+"""SC, SCAN, PC-SCAN and CSR-SCAN decoders over the shared polar tree; the
+last three are one engine, _ScanFamilyDecoder, built with other arguments.
 
 All message passing runs in min-sum LLR arithmetic with a genuine IEEE
 +inf for known-zero feedback: f(+inf, x) = x exactly, which is what makes
-the incremental register form of the PC kernel bitwise-equal to the batch
-form. Beta messages are finite or +inf, so as long as the channel LLRs
-are finite no inf - inf can arise anywhere in the tree. Every decoder
+the PC kernel's running chain register bitwise-equal to f over the
+checked set. Beta messages are finite or +inf, so as long as the channel
+LLRs are finite no inf - inf can arise anywhere in the tree. Every decoder
 enforces that contract on its input: NaN LLRs raise ValueError, and
 magnitudes above LLR_MAX (infinities included) are clamped to it on a
 copy, leaving the caller's array as it was. Inputs within +-LLR_MAX (the
@@ -16,7 +17,7 @@ owns its buffers and is single-threaded; independent instances may run
 concurrently.
 
 The SCAN-family engine stores its per-level alpha and beta messages (one
-(n+1, N, B) array each), the PC-SCAN leaf cache and the CSR registers
+(n+1, N, B) array each), its leaf alpha cache and its chain registers
 frame-minor, as (N, B) arrays per level ((L, B) for the registers): row
 i holds index i of every frame, so the two halves of a tree node are
 contiguous row blocks and every f runs in place over them. Subtrees
@@ -28,17 +29,18 @@ parent reads) and at level 0 (which the leaf posteriors read); before
 its first visit the node keeps beta 0, as an unpruned node would.
 
 Each SCAN-family pass runs as one call into a compiled C tree pass
-(treepass.c: the traversal, rate-0 pruning, both schedules and the leaf
-kernels) over those same buffers, so the per-pass decisions and the
-results are read back in numpy. The first SCAN-family decoder built in a
-process builds the library with gcc (-O3 -ffp-contract=off, no fast-math)
-into $XDG_CACHE_HOME/pcpolar or ~/.cache/pcpolar, keyed by a SHA-256 of
-source and flags, and loads it through ctypes; see treepass.py. Where it
-cannot be built or loaded, the decoders run the numpy engine below, which
-stays the reference: the two are bitwise-equal, input for input, because
-the C code performs the same IEEE operations in the same order. A
-decoder's `engine` attribute reads "c" or "numpy", and `pcpolar decode`
-and `pcpolar simulate` report it. SC always runs numpy.
+(treepass.c's one entry point, scan_pass: the traversal, rate-0 pruning,
+both schedules and the leaf kernels) over those same buffers, so the
+per-pass decisions and the results are read back in numpy. The first
+SCAN-family decoder built in a process builds the library with gcc (-O3
+-ffp-contract=off, no fast-math) into $XDG_CACHE_HOME/pcpolar or
+~/.cache/pcpolar, keyed by a SHA-256 of source and flags, and loads it
+through ctypes; see treepass.py. Where it cannot be built or loaded, the
+decoders run the numpy engine below, which stays the reference: the two
+are bitwise-equal, input for input, because the C code performs the same
+IEEE operations in the same order. A decoder's `engine` attribute reads
+"c" or "numpy", and `pcpolar decode` and `pcpolar simulate` report it.
+SC always runs numpy.
 """
 
 from __future__ import annotations
@@ -63,22 +65,6 @@ SCHEDULES = (SEQUENTIAL, "literal")
 DECODER_KINDS = ("sc", "scan", "pc-scan", "csr-scan")
 
 
-def f_op(*values: float) -> float:
-    """Min-sum box-plus: sign product (zero counts positive), min magnitude.
-
-    Associative and commutative with identity +inf; f(+inf, x) = x.
-    """
-    if not values:
-        raise ValueError("f_op needs at least one argument")
-    sign = 1.0
-    mag = np.inf
-    for v in values:
-        if v < 0:
-            sign = -sign
-        mag = min(mag, abs(v))
-    return sign * mag
-
-
 def f_pair(a, b, out=None):
     """Elementwise two-input f over arrays, written into `out` if given.
 
@@ -101,12 +87,6 @@ def f_reduce(cols: np.ndarray, axis: int = -1) -> np.ndarray:
     neg = (cols < 0).sum(axis=axis) & 1
     mag = np.abs(cols).min(axis=axis)
     return np.where(neg.astype(bool), -mag, mag)
-
-
-def hard_output(leaf_posteriors, rolemap: RoleMap) -> np.ndarray:
-    """Hard decisions at the info positions: 1 iff posterior < 0, ties to 0."""
-    post = np.asarray(leaf_posteriors, dtype=np.float64)
-    return (post[..., rolemap.info_positions] < 0).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -210,28 +190,47 @@ def _as_llr_batch(llrs, N: int) -> tuple[np.ndarray, bool]:
 
 
 class _ScanFamilyDecoder:
-    """Shared alpha/beta traversal of the binary decoding tree.
+    """SCAN on the binary decoding tree with a parity-check tanner layer at
+    its leaves; ScanDecoder, PcScanDecoder and CsrScanDecoder only build it.
 
     The sequential schedule recomputes the right child's alpha after the
     left subtree has refreshed its beta; the literal schedule computes
-    both child alphas on node entry from the pre-visit betas. `kind`
-    holds the leaf kernel classes; subtrees made only of frozen-kind
-    leaves are pruned (see the module docstring), so the leaf kernels
-    only see the other leaves. A pass runs as one call into the compiled
-    tree pass when `treepass.load()` has it (`engine` "c"), else through
-    `_traverse` and the `_leaf_visit` hook (`engine` "numpy").
+    both child alphas on node entry from the pre-visit betas. Pruning
+    leaves the leaf kernels the other leaves only, visited in index order.
+    In each pass, with lambda_p and lambda_i read from `damping`:
+
+    - an info leaf folds its alpha into chain register u % L (the L
+      registers start each pass at +inf); an unchecked one feeds back 0;
+    - a PC leaf feeds back lambda_p times its chain's register, which is
+      bitwise f over I(u): I(u) is the chain's info prefix, all of it
+      visited earlier in the pass, and f is exact. That needs `pcs` to be
+      derive_pc_structure(rolemap, pcs.L); any other raises ValueError;
+    - a checked info leaf feeds back 0.0 plus lambda_i * f over the cached
+      alphas of each of its sets (a checking PC bit and the other info
+      bits it checks, in P(u) order); +0.0, the same bits, if lambda_i is 0.
+
+    Alphas are cached at PC and checked info leaves; one not yet visited
+    in this pass holds its previous-pass alpha (zero in pass 1). A pass
+    runs in the compiled tree pass (`engine` "c") or else through
+    `_traverse` (`engine` "numpy"); the per-decode buffers live only as
+    long as a decode call.
     """
 
-    def __init__(self, rolemap: RoleMap, schedule: str, kind: np.ndarray):
+    def __init__(self, rolemap: RoleMap, pcs: PcStructure, damping: DampingConfig, schedule: str):
         if schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
+        if pcs != derive_pc_structure(rolemap, pcs.L):
+            raise ValueError("pcs is not the chain structure of this role map (derive_pc_structure)")
         self.rolemap = rolemap
+        self.damping = damping
         self.schedule = schedule
         self.N = rolemap.N
         self.n = self.N.bit_length() - 1
+        self.L = pcs.L
         self._info_pos = rolemap.info_positions
         self._sequential = schedule == SEQUENTIAL
-        self._kind = np.ascontiguousarray(kind, dtype=np.int8)
+        self._kind = classify_leaves(rolemap, pcs)
+        self._sets = _leaf_sets(pcs, self.N)
         # _rate0[s, j], j < N >> s: the level-s node covering leaves [j 2^s, (j+1) 2^s)
         frozen = self._kind == LEAF_FROZEN
         self._rate0 = np.zeros((self.n + 1, self.N), dtype=np.uint8)
@@ -239,16 +238,6 @@ class _ScanFamilyDecoder:
             self._rate0[s, : self.N >> s] = frozen.reshape(-1, 1 << s).all(axis=1)
         self._lib = treepass.load()
         self.engine = "numpy" if self._lib is None else "c"
-
-    # subclass hooks
-    def _begin_iteration(self, t: int) -> None:
-        pass
-
-    def _leaf_visit(self, u: int) -> None:
-        raise NotImplementedError
-
-    def _compiled_pass(self, B: int) -> None:
-        raise NotImplementedError
 
     def decode(self, llrs, t_max: int = 1) -> DecodeResult:
         if t_max < 1:
@@ -258,20 +247,26 @@ class _ScanFamilyDecoder:
         self._alpha = np.zeros((self.n + 1, self.N, B))
         self._beta = np.zeros((self.n + 1, self.N, B))
         self._alpha[self.n] = root.T
+        self._reg = np.empty((self.L, B))
+        self._cache = np.zeros((self.N, B))
         if self._lib is None:
             self._tmp = np.empty((self.N // 2, B))
         snapshots = []
         for t in range(t_max):
-            self._begin_iteration(t)
+            self._reg.fill(np.inf)
+            self._lam_p, self._lam_i = self.damping.lambda_p_at(t), self.damping.lambda_i_at(t)
             if self._lib is None:
                 self._traverse(self.n, 0)
             else:
-                self._compiled_pass(B)
+                self._lib.scan_pass(
+                    self.n, B, self._sequential, self._alpha, self._beta, self._rate0, self._kind,
+                    self.L, self._reg, self._cache, self._lam_p, self._lam_i, *self._sets,
+                )
             snapshots.append(self._hard_info())
         leaf_post = np.ascontiguousarray((self._alpha[0] + self._beta[0]).T)
         extr = np.ascontiguousarray(self._beta[self.n].T)
         # the buffers are per decode; an idle decoder should not hold them
-        self._alpha = self._beta = self._tmp = None
+        self._alpha = self._beta = self._reg = self._cache = self._tmp = None
         return _shaped_result(snapshots, leaf_post, extr, root + extr, single)
 
     def _hard_info(self) -> np.ndarray:
@@ -307,35 +302,42 @@ class _ScanFamilyDecoder:
         f_pair(b_lo, a_lo, out=beta[mid:end])
         beta[mid:end] += b_hi
 
+    def _leaf_visit(self, u: int) -> None:
+        k = self._kind[u]
+        alpha, out, reg = self._alpha[0][u], self._beta[0][u], self._reg[u % self.L]
+        if k != LEAF_UNCHECKED:
+            self._cache[u] = alpha
+        if k == LEAF_PC:
+            np.multiply(self._lam_p, reg, out=out)
+            return
+        f_pair(reg, alpha, out=reg)
+        out[:] = 0.0
+        if k == LEAF_CHECKED and self._lam_i != 0:
+            leaf_ptr, set_ptr, set_idx = self._sets
+            for j in range(leaf_ptr[u], leaf_ptr[u + 1]):
+                out += self._lam_i * f_reduce(self._cache[set_idx[set_ptr[j] : set_ptr[j + 1]]], axis=0)
+
 
 def _leaf_sets(pcs: PcStructure, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index sets the PC-SCAN leaf kernels fold f over, as int64
+    """The index sets the checked-info leaf kernel folds f over, as int64
     (leaf_ptr, set_ptr, set_idx): leaf u owns sets leaf_ptr[u]:leaf_ptr[u+1]
-    and set k is set_idx[set_ptr[k]:set_ptr[k+1]]. A PC leaf owns its
-    checked set I(u); a checked info leaf owns, for each checking PC bit in
-    P(u) order, that bit followed by the other info bits it checks."""
-    owned: dict[int, list[list[int]]] = {u: [list(iu)] for u, iu in pcs.checked_sets.items() if iu}
-    for u in pcs.checked_info:
-        owned[u] = [[up] + [j for j in pcs.checked_sets[up] if j != u] for up in pcs.checking_sets[u]]
+    and set k is set_idx[set_ptr[k]:set_ptr[k+1]]. A checked info leaf owns,
+    for each checking PC bit in P(u) order, that bit followed by the other
+    info bits it checks; no other leaf owns a set."""
+    owned = {
+        u: [[up] + [j for j in pcs.checked_sets[up] if j != u] for up in pcs.checking_sets[u]]
+        for u in pcs.checked_info
+    }
     sets = [s for u in range(N) for s in owned.get(u, ())]
     leaf_ptr = np.cumsum([0] + [len(owned.get(u, ())) for u in range(N)], dtype=np.int64)
     set_ptr = np.cumsum([0] + [len(s) for s in sets], dtype=np.int64)
     set_idx = np.array([j for s in sets for j in s], dtype=np.int64)
-    if ((set_idx < 0) | (set_idx >= N)).any():
-        raise ValueError(f"parity sets index outside [0, {N})")
     return leaf_ptr, set_ptr, set_idx
 
 
 class PcScanDecoder(_ScanFamilyDecoder):
-    """PC-SCAN: soft cancellation with tanner-layer parity leaf kernels.
-
-    A PC leaf feeds back lambda_p * f over the cached alphas of its
-    checked set; a checked info leaf sums lambda_i * f over each checking
-    PC bit's alpha and the co-checked alphas; an unchecked info leaf feeds
-    back 0. Alphas are cached at PC and checked info leaves, the only ones
-    these kernels read; cached alphas of leaves not yet visited in the
-    current iteration are previous-iteration values (zero in iteration 1).
-    """
+    """PC-SCAN: soft cancellation with damped parity-check feedback at the
+    PC and checked info leaves (default damping: DampingConfig())."""
 
     def __init__(
         self,
@@ -344,87 +346,27 @@ class PcScanDecoder(_ScanFamilyDecoder):
         damping: DampingConfig | None = None,
         schedule: str = SEQUENTIAL,
     ):
-        super().__init__(rolemap, schedule, classify_leaves(rolemap, pcs))
-        self.damping = damping if damping is not None else DampingConfig()
-        self._sets = _leaf_sets(pcs, self.N)
-
-    def _begin_iteration(self, t: int) -> None:
-        if t == 0:
-            self._cache = np.zeros_like(self._alpha[0])
-        self._lam_p = self.damping.lambda_p_at(t)
-        self._lam_i = self.damping.lambda_i_at(t)
-
-    def _compiled_pass(self, B: int) -> None:
-        self._lib.pc_scan_pass(
-            self.n, B, self._sequential, self._alpha, self._beta, self._rate0, self._kind,
-            self._cache, self._lam_p, self._lam_i, *self._sets,
-        )
-
-    def _leaf_visit(self, u: int) -> None:
-        k = self._kind[u]
-        out = self._beta[0][u]
-        if k == LEAF_UNCHECKED:
-            out[:] = 0.0
-            return
-        self._cache[u] = self._alpha[0][u]
-        leaf_ptr, set_ptr, set_idx = self._sets
-        sets = [set_idx[set_ptr[j] : set_ptr[j + 1]] for j in range(leaf_ptr[u], leaf_ptr[u + 1])]
-        if k == LEAF_PC:
-            np.multiply(self._lam_p, f_reduce(self._cache[sets[0]], axis=0), out=out)
-        else:
-            out[:] = 0.0
-            for cols in sets:
-                out += self._lam_i * f_reduce(self._cache[cols], axis=0)
+        super().__init__(rolemap, pcs, damping if damping is not None else DampingConfig(), schedule)
 
 
-class ScanDecoder(PcScanDecoder):
-    """Plain soft cancellation for codes without PC bits.
-
-    PC-SCAN on a code with no PC leaves: every leaf is frozen (feedback
-    +inf) or unchecked info (feedback 0).
-    """
+class ScanDecoder(_ScanFamilyDecoder):
+    """Plain soft cancellation for codes without PC bits: the engine on a
+    code with no PC leaves, where every leaf is frozen (feedback +inf) or
+    unchecked info (feedback 0)."""
 
     def __init__(self, rolemap: RoleMap, schedule: str = SEQUENTIAL):
         if np.any(rolemap.role == PC):
             raise ValueError("code has PC bits; use the PC-SCAN decoder")
-        super().__init__(rolemap, derive_pc_structure(rolemap, 1), schedule=schedule)
+        super().__init__(rolemap, derive_pc_structure(rolemap, 1), DampingConfig(), schedule)
 
 
 class CsrScanDecoder(_ScanFamilyDecoder):
-    """CSR-SCAN: PC feedback read from L cyclic registers, zero info feedback.
-
-    Each register accumulates f(delta, alpha) over the information leaves
-    of its chain in visit order; a PC leaf reads its chain's register.
-    Registers reset to the f identity (+inf) at every iteration start, so
-    a PC leaf with no preceding info bits would feed back +inf exactly as
-    the general kernel's empty-set branch does; such leaves are frozen-kind
-    and pruned.
-    """
+    """CSR-SCAN: PC-SCAN with (lambda_p, lambda_i) = (1, 0). A PC leaf feeds
+    back its chain register as is and every info leaf feeds back 0, which
+    is what L cyclic shift registers compute in hardware."""
 
     def __init__(self, rolemap: RoleMap, pcs: PcStructure, schedule: str = SEQUENTIAL):
-        if pcs.L < 1:
-            raise ValueError(f"register count L must be >= 1, got {pcs.L}")
-        super().__init__(rolemap, schedule, classify_leaves(rolemap, pcs))
-        self.L = pcs.L
-
-    def _begin_iteration(self, t: int) -> None:
-        if t == 0:
-            self._delta = np.empty((self.L, self._alpha[0].shape[1]))
-        self._delta[:] = np.inf
-
-    def _compiled_pass(self, B: int) -> None:
-        self._lib.csr_scan_pass(
-            self.n, B, self._sequential, self._alpha, self._beta, self._rate0, self._kind,
-            self.L, self._delta,
-        )
-
-    def _leaf_visit(self, u: int) -> None:
-        r = u % self.L
-        if self._kind[u] == LEAF_PC:
-            self._beta[0][u] = self._delta[r]
-        else:
-            f_pair(self._delta[r], self._alpha[0][u], out=self._delta[r])
-            self._beta[0][u] = 0.0
+        super().__init__(rolemap, pcs, DampingConfig((1.0,), (0.0,)), schedule)
 
 
 class ScDecoder:

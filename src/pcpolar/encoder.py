@@ -3,8 +3,8 @@
 The pipeline has two linear stages over GF(2): cyclic-shift-register PC
 pre-coding (setting each PC bit to the running parity of the preceding
 information bits in its chain) and the Kronecker polar transform in
-natural bit order. `direct_precode` and `dense_transform` are O(N*|I|)
-and O(N^2) brute-force oracles for the two stages.
+natural bit order. The tests check both against brute-force forms in
+tests/oracles.py.
 
 All functions accept a single frame of shape (N,) or a batch (B, N) and
 return the same shape.
@@ -55,19 +55,6 @@ def csr_precode(s, rolemap: RoleMap, L: int):
     return q[0] if single else q
 
 
-def direct_precode(s, pcs: PcStructure):
-    """Oracle pre-coder: q[u] = XOR of s over I(u) at each PC index u."""
-    s2, single = _as_batch(s)
-    _check_info_support(s2, pcs.info_positions)
-    q = s2.copy()
-    for u, iu in pcs.checked_sets.items():
-        if iu:
-            q[:, u] = np.bitwise_xor.reduce(s2[:, list(iu)], axis=1)
-        else:
-            q[:, u] = 0
-    return q[0] if single else q
-
-
 def polar_transform(q):
     """Kronecker polar transform q * F^{tensor n} mod 2, natural bit order.
 
@@ -86,30 +73,6 @@ def polar_transform(q):
         x = x.reshape(B, N)
         h *= 2
     return x[0] if single else x
-
-
-def dense_transform(q):
-    """Oracle transform: explicit matrix product with G = F^{tensor n}.
-
-    The product runs in float64 (exact: row sums never exceed N << 2^53)
-    so the N^2 matmul stays on the BLAS path.
-    """
-    q2, single = _as_batch(q)
-    N = q2.shape[1]
-    if N < 1 or (N & (N - 1)) != 0:
-        raise ValueError(f"length must be a power of two, got {N}")
-    x = (q2.astype(np.float64) @ transform_matrix(N).astype(np.float64)) % 2
-    x = x.astype(np.uint8)
-    return x[0] if single else x
-
-
-def transform_matrix(N: int) -> np.ndarray:
-    """G = F^{tensor n} with F = [[1, 0], [1, 1]], built by Kronecker powers."""
-    G = np.array([[1]], dtype=np.int64)
-    F = np.array([[1, 0], [1, 1]], dtype=np.int64)
-    while G.shape[0] < N:
-        G = np.kron(G, F)
-    return G
 
 
 def encode(info_bits, spec: CodeSpec, rolemap: RoleMap, pcs: PcStructure):

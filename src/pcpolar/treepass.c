@@ -1,5 +1,5 @@
-/* One SCAN-family pass over the polar tree: the compiled form of
- * decoders._ScanFamilyDecoder._traverse and its leaf kernels.
+/* One SCAN-family pass over the polar tree, exported as scan_pass: the
+ * compiled form of decoders._ScanFamilyDecoder._traverse and _leaf_visit.
  *
  * Every buffer is frame-minor, as in the numpy engine: alpha and beta are
  * (n+1, N, B) with row i of a level holding index i of every frame, so a
@@ -20,10 +20,10 @@ typedef struct {
     double *alpha, *beta;
     const uint8_t *rate0;
     const int8_t *kind;
-    double *reg;   /* CSR-SCAN: L chain registers, (L, B); NULL for PC-SCAN */
-    double *cache; /* PC-SCAN: alphas cached at PC and checked info leaves, (N, B) */
+    double *reg;   /* L chain registers, (L, B) */
+    double *cache; /* alphas cached at PC and checked info leaves, (N, B) */
     double lam_p, lam_i;
-    const int64_t *leaf_ptr, *set_ptr, *set_idx;
+    const int64_t *leaf_ptr, *set_ptr, *set_idx; /* the checked info leaves' sets */
 } pass_t;
 
 /* min-sum f: min(|a|, |b|), negated where exactly one input is negative
@@ -67,42 +67,29 @@ static void leaf(const pass_t *p, int64_t u)
 {
     int64_t B = p->B;
     const double *a = p->alpha + u * B;
-    double *out = p->beta + u * B;
+    double *out = p->beta + u * B, *r = p->reg + (u % p->L) * B;
     int kind = p->kind[u];
-    if (p->reg) { /* CSR-SCAN: PC leaves read their chain's register, info leaves feed it */
-        double *r = p->reg + (u % p->L) * B;
-        if (kind == LEAF_PC) {
-            for (int64_t b = 0; b < B; b++)
-                out[b] = r[b];
-            return;
-        }
+    if (kind != LEAF_UNCHECKED)
         for (int64_t b = 0; b < B; b++)
-            r[b] = f(r[b], a[b]);
-        fill(out, 0.0, B);
-        return;
-    }
-    if (kind == LEAF_UNCHECKED) {
-        fill(out, 0.0, B);
+            p->cache[u * B + b] = a[b];
+    if (kind == LEAF_PC) { /* lambda_p * the register: f over I(u), the chain's info prefix */
+        for (int64_t b = 0; b < B; b++)
+            out[b] = p->lam_p * r[b];
         return;
     }
     for (int64_t b = 0; b < B; b++)
-        p->cache[u * B + b] = a[b];
-    double r[BLOCK];
+        r[b] = f(r[b], a[b]);
+    fill(out, 0.0, B);
+    if (kind == LEAF_UNCHECKED || p->lam_i == 0)
+        return;
+    /* checked info: 0.0 plus lambda_i * f over each of its sets, in order */
+    double s[BLOCK];
     for (int64_t b0 = 0; b0 < B; b0 += BLOCK) {
         int64_t nb = B - b0 < BLOCK ? B - b0 : BLOCK;
-        double *o = out + b0;
-        if (kind == LEAF_PC) { /* lambda_p * f over the checked set */
-            reduce_set(p, p->leaf_ptr[u], b0, nb, r);
-            for (int64_t b = 0; b < nb; b++)
-                o[b] = p->lam_p * r[b];
-            continue;
-        }
-        /* checked info: 0.0 plus lambda_i * f over each contribution, in order */
-        fill(o, 0.0, nb);
         for (int64_t k = p->leaf_ptr[u]; k < p->leaf_ptr[u + 1]; k++) {
-            reduce_set(p, k, b0, nb, r);
+            reduce_set(p, k, b0, nb, s);
             for (int64_t b = 0; b < nb; b++)
-                o[b] += p->lam_i * r[b];
+                out[b0 + b] += p->lam_i * s[b];
         }
     }
 }
@@ -151,21 +138,14 @@ static void traverse(const pass_t *p, int s, int64_t base)
     f_plus(beta + hi, b_lo, a_lo, b_hi, half);
 }
 
-void csr_scan_pass(int64_t n, int64_t B, int sequential, double *alpha, double *beta,
-                   const uint8_t *rate0, const int8_t *kind, int64_t L, double *reg)
+void scan_pass(int64_t n, int64_t B, int sequential, double *alpha, double *beta,
+               const uint8_t *rate0, const int8_t *kind, int64_t L, double *reg, double *cache,
+               double lam_p, double lam_i, const int64_t *leaf_ptr, const int64_t *set_ptr,
+               const int64_t *set_idx)
 {
     pass_t p = {.N = (int64_t)1 << n, .B = B, .L = L, .sequential = sequential, .alpha = alpha,
-                .beta = beta, .rate0 = rate0, .kind = kind, .reg = reg};
-    traverse(&p, (int)n, 0);
-}
-
-void pc_scan_pass(int64_t n, int64_t B, int sequential, double *alpha, double *beta,
-                  const uint8_t *rate0, const int8_t *kind, double *cache, double lam_p,
-                  double lam_i, const int64_t *leaf_ptr, const int64_t *set_ptr,
-                  const int64_t *set_idx)
-{
-    pass_t p = {.N = (int64_t)1 << n, .B = B, .sequential = sequential, .alpha = alpha,
-                .beta = beta, .rate0 = rate0, .kind = kind, .cache = cache, .lam_p = lam_p,
-                .lam_i = lam_i, .leaf_ptr = leaf_ptr, .set_ptr = set_ptr, .set_idx = set_idx};
+                .beta = beta, .rate0 = rate0, .kind = kind, .reg = reg, .cache = cache,
+                .lam_p = lam_p, .lam_i = lam_i, .leaf_ptr = leaf_ptr, .set_ptr = set_ptr,
+                .set_idx = set_idx};
     traverse(&p, (int)n, 0);
 }

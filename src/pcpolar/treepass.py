@@ -61,8 +61,9 @@ def build(cache: Path) -> Path:
 
 
 def open_library(path: Path):
-    """The built library (a ctypes.CDLL) with its two entry points typed;
-    array arguments must be C-contiguous and of the declared dtype."""
+    """The built library (a ctypes.CDLL) with its one entry point,
+    `scan_pass`, typed; array arguments must be C-contiguous and of the
+    declared dtype."""
     import ctypes
 
     import numpy as np
@@ -71,15 +72,14 @@ def open_library(path: Path):
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
     f64, i64 = array(np.float64), array(np.int64)
-    # n, B, sequential, alpha, beta (n+1, N, B), rate0 (n+1, N), leaf kinds (N,)
-    tree = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int, f64, f64, array(np.uint8), array(np.int8)]
     lib = ctypes.CDLL(str(path))
-    # ..., L, registers (L, B)
-    lib.csr_scan_pass.argtypes = tree + [ctypes.c_int64, f64]
-    lib.csr_scan_pass.restype = None
-    # ..., cache (N, B), lambda_p, lambda_i, leaf_ptr, set_ptr, set_idx
-    lib.pc_scan_pass.argtypes = tree + [f64, ctypes.c_double, ctypes.c_double, i64, i64, i64]
-    lib.pc_scan_pass.restype = None
+    # n, B, sequential, alpha, beta (n+1, N, B), rate0 (n+1, N), leaf kinds (N,),
+    # L, registers (L, B), cache (N, B), lambda_p, lambda_i, leaf_ptr, set_ptr, set_idx
+    lib.scan_pass.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int, f64, f64, array(np.uint8), array(np.int8),
+        ctypes.c_int64, f64, f64, ctypes.c_double, ctypes.c_double, i64, i64, i64,
+    ]
+    lib.scan_pass.restype = None
     return lib
 
 

@@ -31,16 +31,11 @@ from pcpolar.decoders import (
     PcScanDecoder,
     ScanDecoder,
     ScDecoder,
-    f_op,
 )
-from pcpolar.encoder import (
-    csr_precode,
-    dense_transform,
-    direct_precode,
-    encode,
-    polar_transform,
-)
+from pcpolar.encoder import csr_precode, encode, polar_transform
 from pcpolar.sim import DecoderConfig, SimConfig, run_cell, wilson_interval
+
+from oracles import dense_transform, direct_precode, f_op
 
 FIG3_SPEC = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
 N128_SPEC = CodeSpec(N=128, K=64, scheme="fc", A=1.0)

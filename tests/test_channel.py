@@ -3,13 +3,11 @@ import pytest
 
 from pcpolar.channel import (
     LLR_MAX,
-    ChannelParams,
     awgn,
     channel_llrs,
     ebn0_to_sigma,
     frame_rng,
     modulate_bpsk,
-    sigma_to_ebn0,
 )
 
 
@@ -45,12 +43,8 @@ def test_ebn0_sigma_round_trip():
     for ebn0 in (-2.0, 0.0, 3.0, 7.5):
         for rate in (0.25, 0.5, 0.75, 1.0):
             sigma = ebn0_to_sigma(ebn0, rate)
-            assert sigma_to_ebn0(sigma, rate) == pytest.approx(ebn0, rel=1e-12, abs=1e-12)
-
-
-def test_channel_params_sigma():
-    p = ChannelParams(ebn0_db=3.0, rate=0.5)
-    assert p.sigma == pytest.approx(np.sqrt(1 / (2 * 0.5 * 10 ** 0.3)))
+            # Eb/N0 = 1 / (2 R sigma^2) for unit-energy BPSK
+            assert 10 * np.log10(1 / (2 * rate * sigma**2)) == pytest.approx(ebn0, rel=1e-12, abs=1e-12)
 
 
 def test_channel_llrs_formula():

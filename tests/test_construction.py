@@ -20,7 +20,8 @@ from pcpolar.construction import (
     pw_reliability,
     row_weight,
 )
-from pcpolar.encoder import transform_matrix
+
+from oracles import transform_matrix
 
 
 def brute_force_pw(N):

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import os
+import shutil
 import subprocess
 import sys
 from unittest import mock
@@ -20,12 +22,12 @@ from pcpolar.decoders import (
     PcScanDecoder,
     ScanDecoder,
     ScDecoder,
-    f_op,
     f_pair,
-    hard_output,
     make_decoder,
 )
 from pcpolar.encoder import encode, polar_transform
+
+from oracles import f_op, hard_output
 
 llr_values = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -490,6 +492,34 @@ def test_no_nans_anywhere_in_soft_outputs():
     assert not np.isnan(res.coded_posteriors).any()
 
 
+def array_bytes(dec):
+    return sum(v.nbytes for v in vars(dec).values() if isinstance(v, np.ndarray))
+
+
+@pytest.mark.parametrize("kind", ["pc-scan", "csr-scan"])
+def test_idle_decoder_holds_no_per_decode_buffers(kind):
+    spec = CodeSpec(N=256, K=128, scheme="fc", A=0.5)
+    rm, pcs = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, pcs, 50, 2.0, 18)
+    dec = make_decoder(rm, pcs, DecoderConfig(kind=kind, t_max=2))
+    idle = array_bytes(dec)
+    dec.decode(llr, 2)
+    assert array_bytes(dec) == idle
+
+
+def test_scan_family_rejects_a_structure_not_derived_from_the_code():
+    spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
+    rm, pcs = build_code(spec)
+    u = next(u for u, iu in pcs.checked_sets.items() if len(iu) >= 2)
+    trimmed = dataclasses.replace(pcs, checked_sets={**pcs.checked_sets, u: pcs.checked_sets[u][1:]})
+    for build in (lambda p: PcScanDecoder(rm, p), lambda p: CsrScanDecoder(rm, p)):
+        build(pcs)
+        with pytest.raises(ValueError, match="chain structure"):
+            build(trimmed)
+        with pytest.raises(ValueError, match="L must be >= 1"):
+            build(dataclasses.replace(pcs, L=0))
+
+
 # ---------------------------------------------------------------------------
 # golden digests: every DecodeResult byte of every decoder, pinned
 
@@ -511,6 +541,10 @@ GOLDEN_DIGESTS = {
     "64-fc/pc-scan/sequential/single": "0940c546016e8fd966e8729fc293f7afa8679e1e22d5d27e0e25099b4abe586a",
     "64-fc/pc-scan/literal/batch": "7851461fe794362c808b083abe98d9ec19e7fb7d8d79e05428d6bba648ed75f9",
     "64-fc/pc-scan/literal/single": "a7724c268a6ad302d259549934463b766ddf374bdecd7d0fe2ab0922d82b17cf",
+    "64-fc/pc-scan-damped/sequential/batch": "ae6c8c569e598a6bc3736135ff0c7989852136e177c1070ce508de6fb290d42a",
+    "64-fc/pc-scan-damped/sequential/single": "ccddd77df2c8fabb1e75071f5a7e8265daf322a50589042f92bb0a3870eed267",
+    "64-fc/pc-scan-damped/literal/batch": "781fed3b30757f970bd734f91f3e0c23dfebcf0ff9bf6d4875f03ab8f2807240",
+    "64-fc/pc-scan-damped/literal/single": "6d5a99708cb25977eb5419e1e3f134e12772c64754b10ae4b09c34761b51a430",
     "64-fc/csr-scan/sequential/batch": "a135f6a44f0078b2ca68d6c8a95a2ba801dae6c9c08bd717b4d117f7cf7c7c57",
     "64-fc/csr-scan/sequential/single": "6f065675ab24488bd8f9626d710c66e95e3437fff78a9fe412569575496d5ca2",
     "64-fc/csr-scan/literal/batch": "6346ee6f0c3323e0d2e6729a2ed9979196c541839518d11fcef16ff31e5b4c9d",
@@ -523,6 +557,10 @@ GOLDEN_DIGESTS = {
     "1024-fc/pc-scan/sequential/single": "93cfffe1f395ce7a4534cfa27f06580de0705344bbb177be21f090bd51983780",
     "1024-fc/pc-scan/literal/batch": "fdf10d38f83bd3294d3fb88d999c4adb902adb905b78a4ea026f2a97c1ab23e5",
     "1024-fc/pc-scan/literal/single": "6318e261fe06e03e9955b3c18b7e9ccb54145910e2d7487e4ae67762fbef6da7",
+    "1024-fc/pc-scan-damped/sequential/batch": "1a78ca263c01d3fbcbb05a3d9cbfbae6a7445bf900f8748085023907142ba440",
+    "1024-fc/pc-scan-damped/sequential/single": "67959789baeecd13b0c2d505c178b190cd7809303c4cb07805e930c56e8df861",
+    "1024-fc/pc-scan-damped/literal/batch": "cb122dbaeb0594355e396529bbe6155214c2b41bdd12683b1f935d4feb1bc5fa",
+    "1024-fc/pc-scan-damped/literal/single": "3d9b4422c536db0698a7d80fd0bd2386b212143bac3dd2d1c4656dbb1aed78a2",
     "1024-fc/csr-scan/sequential/batch": "ca93c179ed8983d228006f8f7787359301fc65f947f529df3f0e0cfdc325dce9",
     "1024-fc/csr-scan/sequential/single": "813b5b7ec1fe4edf4bd72c63a5495f83cf81cc9b7bc133c12471c2c8b79a623d",
     "1024-fc/csr-scan/literal/batch": "c13f26b2b7cd17bafc5aeded1d6f7fb8b51eea1bc0813ee1e85262d46904d408",
@@ -535,6 +573,10 @@ GOLDEN_DIGESTS = {
     "256-nr/pc-scan/sequential/single": "65b7afb59a2b09aa60922bc20e99f69112689a72201036a4f53563358094490e",
     "256-nr/pc-scan/literal/batch": "b673f97245fc0075ac8dc75636c31b43270abef49cb17d5c2e1c24478f43c882",
     "256-nr/pc-scan/literal/single": "a65b87e8546ed20b33add8f4f53af626e6c087463d78f8e4acf4650ce9d01bde",
+    "256-nr/pc-scan-damped/sequential/batch": "ff5aa9c852c4a342252be3af758edd7918e1824d014b8abca699afa15c69d1d8",
+    "256-nr/pc-scan-damped/sequential/single": "46a474cd53ad6bbdb215fef8256bfa0af896a024943badd21a7ed6db8b1e7e87",
+    "256-nr/pc-scan-damped/literal/batch": "7dfefe47fca79211b91c9edec4a3e41550186f1a652c5d850df68a13c3ae0346",
+    "256-nr/pc-scan-damped/literal/single": "5f31469c7c2a84b7f48d7e13626230250d6818afcf625125b96cdb6f35d23eb3",
     "256-nr/csr-scan/sequential/batch": "a1886c0a5c5b3f44d97b18e60da8782b4e348fcdc2692ab75fb28357d037e772",
     "256-nr/csr-scan/sequential/single": "522bf5796447f3109be2aff1544b9c291d31b22e2071517766f382325cbe1151",
     "256-nr/csr-scan/literal/batch": "23f7ec6af455b7e48866059f3d1e0065cf2cc1c1f8fdfaa0d7999ef43abf1b9f",
@@ -546,6 +588,9 @@ GOLDEN_DIGESTS = {
     "256-nr/sc/-/batch": "66bd6a860e2e9613c4e2f7338b60411075af7c57c3bfc3492d721e0591f8e39f",
     "256-nr/sc/-/single": "09ea97d0aea8d335c0c987512abbf81d978c4808c7d9e0b75047f260480f756c",
 }
+
+
+GOLDEN_DAMPING = DampingConfig((0.5, 1.0), (0.0, 0.67))
 
 
 def result_digest(res):
@@ -579,6 +624,8 @@ def golden_decode(code, decoder, schedule, frames):
         return ScanDecoder(build_code(plain)[0], schedule).decode(llr, 3)
     if decoder == "pc-scan":
         return PcScanDecoder(rm, pcs, schedule=schedule).decode(llr, 3)
+    if decoder == "pc-scan-damped":  # lambda_i = 0 in pass 1, lambda_p != 1
+        return PcScanDecoder(rm, pcs, GOLDEN_DAMPING, schedule).decode(llr, 3)
     return CsrScanDecoder(rm, pcs, schedule).decode(llr, 3)
 
 
@@ -710,6 +757,13 @@ def test_compiled_pass_equals_numpy_engine_n1024(schedule):
             ref = build()
         assert (dec.engine, ref.engine) == ("c", "numpy")
         assert result_digest(dec.decode(llr, 4)) == result_digest(ref.decode(llr, 4)), name
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
+def test_tree_pass_source_compiles_without_warnings():
+    cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(treepass.SOURCE)]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture
