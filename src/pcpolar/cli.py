@@ -84,6 +84,13 @@ def _field_types(cls) -> dict:
     return types
 
 
+def _read_text(path: str, what: str = "file") -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise CliError(f"cannot read {what} {path}: {e}")
+
+
 def load_config(path: str) -> dict:
     """Read a JSON config and check each section's keys and types against
     the fields of the config class it feeds; arrays come back as tuples."""
@@ -92,10 +99,7 @@ def load_config(path: str) -> dict:
         raise CliError(f"config {path} holds the non-finite number {literal}")
 
     try:
-        with open(path) as fh:
-            cfg = json.load(fh, parse_constant=non_finite)
-    except OSError as e:
-        raise CliError(f"cannot read config {path}: {e}")
+        cfg = json.loads(_read_text(path, "config"), parse_constant=non_finite)
     except json.JSONDecodeError as e:
         raise CliError(f"config {path} is not valid JSON: {e}")
     if not isinstance(cfg, dict) or "code" not in cfg:
@@ -185,10 +189,12 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text)
+        return
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,7 @@ def cmd_encode(args) -> int:
     if args.message is not None:
         text = args.message
     elif args.infile is not None:
-        text = Path(args.infile).read_text()
+        text = _read_text(args.infile)
     else:
         raise CliError("encode needs a message argument or --in file")
     msg = _parse_message(text, spec.K)
@@ -300,7 +306,7 @@ def cmd_decode(args) -> int:
     if args.llrs is not None:
         frames = [_parse_llr_line(args.llrs, spec.N)]
     elif args.infile is not None:
-        lines = [l for l in Path(args.infile).read_text().splitlines() if l.strip()]
+        lines = [l for l in _read_text(args.infile).splitlines() if l.strip()]
         frames = [_parse_llr_line(l, spec.N) for l in lines]
     else:
         raise CliError("decode needs --llrs or --in file")
@@ -426,11 +432,7 @@ def cmd_simulate(args) -> int:
 
 
 def read_result_csv(path: str) -> list[dict]:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}")
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    lines = [l for l in _read_text(path).splitlines() if l.strip() and not l.startswith("#")]
     reader = csv.DictReader(io.StringIO("\n".join(lines)))
     ints = ("iter", "frames", "frame_errors", "bit_errors")
     floats = ("snr_db", "fer", "ber", "fer_ci_lo", "fer_ci_hi", "seconds")

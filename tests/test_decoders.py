@@ -527,6 +527,10 @@ GOLDEN_CODES = {
     "64-fc": CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5),
     "1024-fc": CodeSpec(N=1024, K=512, scheme="fc", A=0.5),
     "256-nr": CodeSpec(N=256, K=128, scheme="nr", L=5),
+    # one chain: under the literal schedule a level-1 node computes its right
+    # leaf's alpha before its left (checked info) leaf is visited
+    "64-fc-L1": CodeSpec(N=64, K=32, scheme="fc", L=1),
+    "64-fc-L2": CodeSpec(N=64, K=32, scheme="fc", L=2),
 }
 # SHA-256 of result_digest() per code/decoder/schedule/input. They pin the
 # exact output bytes (posteriors, extrinsics, per-iteration decisions), so a
@@ -587,6 +591,30 @@ GOLDEN_DIGESTS = {
     "1024-fc/sc/-/single": "77de0de489f550fa81c9aeef3dcccf53124a6da52354e4adf0dc6ab6c5f00489",
     "256-nr/sc/-/batch": "66bd6a860e2e9613c4e2f7338b60411075af7c57c3bfc3492d721e0591f8e39f",
     "256-nr/sc/-/single": "09ea97d0aea8d335c0c987512abbf81d978c4808c7d9e0b75047f260480f756c",
+    "64-fc-L1/pc-scan/sequential/batch": "e62604f4f004208077d40710d108d6d99247eeba3c63ed54e8cb51595a3fa969",
+    "64-fc-L1/pc-scan/sequential/single": "f175ba83f1f1650f1464f0cbf3c0b089286cb79a346a3596000f0f972f6be735",
+    "64-fc-L1/pc-scan/literal/batch": "18035961fa85095cee0ce58b8302e1a295fddf735f127b021953e4db09d1ca74",
+    "64-fc-L1/pc-scan/literal/single": "f2cad11fc8cb5cbe04ad2f4943790d230046f2f771f15988994f0d7d8d64aa3f",
+    "64-fc-L1/pc-scan-damped/sequential/batch": "0890a11bad782c0c36bb64dea68a7e2fb5847b7c55ee6de9249b76ff039eaa97",
+    "64-fc-L1/pc-scan-damped/sequential/single": "62d1115ed921d74ad08212c705cbd0633aa66f733ad71de76e3fd698fa80bd81",
+    "64-fc-L1/pc-scan-damped/literal/batch": "621682408bbf86b12c14a8d3a7b2684400f8314ce8bdf899c8dd86cec7f86ae3",
+    "64-fc-L1/pc-scan-damped/literal/single": "fb389890c6b624aa7e9adb4780b64500c8b6646723e5b504c18e2526ddd7fbc6",
+    "64-fc-L1/csr-scan/sequential/batch": "a4440c9a8d7ba108553c508d5ff9fc5a56089c4bbd449a3bde053a48e70e103f",
+    "64-fc-L1/csr-scan/sequential/single": "24119fd0d6241499164adf29c0bf38a0bd012e07aa07e1c9a0fe49e7036e4a2c",
+    "64-fc-L1/csr-scan/literal/batch": "0b104b27d1287be012eb2566256d41cc6b47a714291089561e23a7339a7c12ae",
+    "64-fc-L1/csr-scan/literal/single": "94be1b73599e8ad2f82d83ff10fc00edfa2afdcd13079c0925934f27a456564b",
+    "64-fc-L2/pc-scan/sequential/batch": "9442cbcae561c0be73badee47ebf3ecbdc92e5fae4eba411a222fe3d09b1e406",
+    "64-fc-L2/pc-scan/sequential/single": "17231efafced51fc154d768efc1a783690503f04b1f8faecdccaa4882e4af8f5",
+    "64-fc-L2/pc-scan/literal/batch": "8873f2a0808f270e6e26aa53ff75987671c0d3940af34469be3d2eb4de42e8f1",
+    "64-fc-L2/pc-scan/literal/single": "20d991a536a2c39a72eadc3036610bbb3d06ab3afce7e33d793d280e58415541",
+    "64-fc-L2/pc-scan-damped/sequential/batch": "d8cc64e15698821cb7a155e9abedce02621bebf71e59e027a43239ba0f1b83f6",
+    "64-fc-L2/pc-scan-damped/sequential/single": "3e7b96837f17b07d13cfbb6590fbe90cd20b1972dac8dc2c51fa1932d484c522",
+    "64-fc-L2/pc-scan-damped/literal/batch": "efab908c23b84608f21a157742f4aadb69f5dd5c79ee416b7246021b24585a69",
+    "64-fc-L2/pc-scan-damped/literal/single": "a58399d361baf9ff7e47e097957a80abe111c2c0ef8074468ad533a7b507e109",
+    "64-fc-L2/csr-scan/sequential/batch": "8ba146be746f509c9f32022909bc35d9d9697c832398283b52bcb0cf7971b464",
+    "64-fc-L2/csr-scan/sequential/single": "1fabf6d6ec148ad855e9c9983d0a250aaa30f3fac0c5a80ef8a0a1afd375ff49",
+    "64-fc-L2/csr-scan/literal/batch": "31afbbf60b1f7527ab912fddb4a065af5ab6262900ea3a39a38f77cb9fc46d0c",
+    "64-fc-L2/csr-scan/literal/single": "e495aca8debe456f3c16fe1fe6ad1f2f36683b7779ea8242a046639f523c6b6c",
 }
 
 
@@ -642,6 +670,39 @@ def test_scan_family_golden_digests_numpy_engine():
     with numpy_engine():
         changed = changed_golden_digests()
     assert not changed, f"numpy engine outputs changed for {changed}"
+
+
+
+
+def zero_llr_decode(L, schedule):
+    """pc-scan on (64, 32, fc, L) where every seventh LLR of the batch is
+    +-0.0, so checked-info feedback sums f results of either zero sign (at
+    every third LLR nearly all feedback is zero and the schedules agree)."""
+    spec = CodeSpec(N=64, K=32, scheme="fc", L=L)
+    rm, pcs = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, pcs, 8, 1.5, 200 + L)
+    flat = llr.reshape(-1)
+    negative = np.random.default_rng(L).random(flat[::7].shape) < 0.5
+    flat[::7] = np.where(negative, -0.0, 0.0)
+    return PcScanDecoder(rm, pcs, schedule=schedule).decode(llr, 3)
+
+
+ZERO_LLR_DIGESTS = {
+    "1/sequential": "b06a855d9a2ee9b7732e79f1e1af115190c5e308baa01f7dbb456c092c98996f",
+    "1/literal": "35b0f3b0737995552b04704bd2574b8e29b0110f6f5877e2e426173d1e29b85b",
+    "2/sequential": "a262b79b9b9ea0a4b270a36bf04333aa7b254063ea14f6c524a1a40df1393f6a",
+    "2/literal": "f62dca9bd47c1c8deca009d2ba98f7ae5a6976eb00ac147b63c4dbd7203a2349",
+    "5/sequential": "3fe344d798f773adedfb949a40db7a39674a537708d1f38f50968c3221ac6cc8",
+    "5/literal": "b65d1b5f277448e6feac8dc7b153ce978cd7e0227860e9a14a008af3840d4c08",
+}
+
+
+def test_pc_scan_zero_llrs_golden_digests_on_both_engines():
+    for key, want in ZERO_LLR_DIGESTS.items():
+        L, schedule = key.split("/")
+        assert result_digest(zero_llr_decode(int(L), schedule)) == want, key
+        with numpy_engine():
+            assert result_digest(zero_llr_decode(int(L), schedule)) == want, f"{key} (numpy)"
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +825,58 @@ def test_tree_pass_source_compiles_without_warnings():
     cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(treepass.SOURCE)]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# run with the sanitized library as argv[1]: every golden code at B=300 (past
+# the C pass's 256-frame block) and B=1, each result against the plain build's
+SANITIZED_DECODES = """
+import sys
+from pcpolar import treepass
+from pcpolar.decoders import DecoderConfig, make_decoder
+import test_decoders as t
+
+libs = (treepass.load(), treepass.open_library(sys.argv[1]))
+changed = []
+for code, spec in t.GOLDEN_CODES.items():
+    rm, pcs = t.build_code(spec)
+    _, llr = t.noisy_llrs(spec, rm, pcs, 300, 1.5, 7)
+    for kind in ("pc-scan", "csr-scan"):
+        for schedule in ("sequential", "literal"):
+            dec = DecoderConfig(kind, 2, schedule=schedule)
+            for frames in (llr, llr[0]):
+                digests = set()
+                for lib in libs:
+                    treepass.load = lambda: lib
+                    digests.add(t.result_digest(make_decoder(rm, pcs, dec).decode(frames, 2)))
+                if len(digests) != 1:
+                    changed.append((code, kind, schedule, frames.shape))
+print(changed)
+sys.exit(bool(changed))
+"""
+
+
+@needs_compiled
+def test_sanitized_tree_pass_equals_the_plain_build(tmp_path):
+    """treepass.c under ASan and UBSan: no invalid access, no undefined
+    behaviour, and the same bits as the plain build."""
+    asan = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(asan):
+        pytest.skip("gcc has no libasan")
+    lib = tmp_path / "treepass-sanitized.so"
+    flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-ffp-contract=off"]
+    cmd = ["gcc", *flags, "-shared", "-fPIC", str(treepass.SOURCE), "-o", str(lib)]
+    subprocess.run(cmd, check=True, capture_output=True, timeout=300)
+    src = os.path.dirname(os.path.dirname(treepass.__file__))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)]),
+        "LD_PRELOAD": asan,
+        "ASAN_OPTIONS": "detect_leaks=0",
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", SANITIZED_DECODES, str(lib)], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stdout + done.stderr[-3000:]
 
 
 @pytest.fixture
