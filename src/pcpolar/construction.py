@@ -177,10 +177,6 @@ class PcStructure:
     def info_positions(self) -> np.ndarray:
         return np.sort(np.array(self.checked_info + self.unchecked_info, dtype=int))
 
-    def degenerate_pcs(self) -> tuple[int, ...]:
-        """PC indices with an empty checked set (semantically frozen)."""
-        return tuple(u for u, iu in self.checked_sets.items() if not iu)
-
 
 def pw_reliability(N: int) -> ReliabilitySequence:
     """Polarization-weight reliability sequence of length N.

@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .channel import channel_llrs, ebn0_to_sigma, frame_rng, modulate_bpsk
+from .channel import channel_llrs, ebn0_to_sigma, frame_batch, modulate_bpsk
 from .construction import CodeSpec, build_code
 # DECODER_KINDS and DecoderConfig stay importable from this module too
 from .decoders import DECODER_KINDS, DecoderConfig, make_decoder
@@ -127,24 +127,12 @@ def _code_and_decoder(spec: CodeSpec, dec: DecoderConfig):
     return rolemap, pcs, make_decoder(rolemap, pcs, dec)
 
 
-def _frame_batch(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Messages and unit noise for frames [lo, hi), keyed per frame index."""
-    K, N = config.spec.K, config.spec.N
-    msgs = np.empty((hi - lo, K), dtype=np.uint8)
-    noise = np.empty((hi - lo, N))
-    for i, f in enumerate(range(lo, hi)):
-        g = frame_rng(config.master_seed, f)
-        msgs[i] = g.integers(0, 2, K, dtype=np.uint8)
-        noise[i] = g.standard_normal(N)
-    return msgs, noise
-
-
 def _simulate_chunk(config: SimConfig, snr_db: float, lo: int, hi: int):
     """Counters for frames [lo, hi): (frames, per-iteration (ferr, berr), seconds)."""
     t0 = time.perf_counter()
     spec = config.spec
     rolemap, pcs, decoder = _code_and_decoder(spec, config.decoder)
-    msgs, noise = _frame_batch(config, lo, hi)
+    msgs, noise = frame_batch(config.master_seed, lo, hi, spec.K, spec.N)
     x = encode(msgs, spec, rolemap, pcs)
     sym = modulate_bpsk(x)
     if config.noiseless:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcpolar.channel import (
     LLR_MAX,
     awgn,
     channel_llrs,
     ebn0_to_sigma,
+    frame_batch,
     frame_rng,
     modulate_bpsk,
+    seed_words,
 )
 
 
@@ -74,3 +78,41 @@ def test_frame_rng_is_deterministic_per_frame():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+WORD = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=WORD, frames=st.lists(WORD, min_size=1, max_size=8))
+@example(seed=0, frames=[0, 2**32 - 1])
+@example(seed=2**32 - 1, frames=[2**32 - 1, 0])
+def test_seed_words_equal_seed_sequence(seed, frames):
+    words = seed_words(seed, np.array(frames, dtype=np.uint32))
+    expected = [np.random.SeedSequence((seed, f)).generate_state(4, np.uint64) for f in frames]
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, expected)
+
+
+def frame_rng_loop(seed, lo, hi, K, N):
+    msgs = np.empty((hi - lo, K), dtype=np.uint8)
+    noise = np.empty((hi - lo, N))
+    for i, f in enumerate(range(lo, hi)):
+        g = frame_rng(seed, f)
+        msgs[i] = g.integers(0, 2, K, dtype=np.uint8)
+        noise[i] = g.standard_normal(N)
+    return msgs, noise
+
+
+@pytest.mark.parametrize("K", [1, 7, 8, 9, 33, 36, 512])
+@pytest.mark.parametrize("seed", [0, 1, 501, 2**32 - 1, 2**32])
+def test_frame_batch_equals_frame_rng_loop(K, seed):
+    N = 2 * K + 3
+    # the last range crosses frame 2**32, where the chunk takes the frame_rng loop
+    for lo, hi in ((0, 20), (7000, 7013), (2**32 - 20, 2**32), (2**32 - 10, 2**32 + 10)):
+        msgs, noise = frame_batch(seed, lo, hi, K, N)
+        ref_msgs, ref_noise = frame_rng_loop(seed, lo, hi, K, N)
+        assert msgs.dtype == ref_msgs.dtype == np.uint8
+        assert msgs.shape == (hi - lo, K) and noise.shape == (hi - lo, N)
+        assert msgs.tobytes() == ref_msgs.tobytes()
+        assert noise.tobytes() == ref_noise.tobytes()

@@ -212,7 +212,7 @@ def test_pc_before_first_info_is_degenerate():
     pcs = derive_pc_structure(RoleMap(role=role), 3)
     assert pcs.checked_sets[1] == ()
     assert pcs.checked_sets[4] == ()  # 4 % 3 == 1, no info at index 1
-    assert pcs.degenerate_pcs() == (1, 4)
+    assert [u for u, iu in pcs.checked_sets.items() if not iu] == [1, 4]
     groups = chain_groups(RoleMap(role=role), pcs)
     assert 1 in groups[1]["F"] and 4 in groups[1]["F"]
 

@@ -1,3 +1,4 @@
+import hashlib
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcpolar.channel import frame_batch
 from pcpolar.construction import CodeSpec
 from pcpolar.decoders import DampingConfig
 from pcpolar import sim
@@ -243,3 +245,52 @@ def test_scan_family_reports_per_iteration_cells():
     assert [c.iteration for c in cells] == [1, 2, 3]
     # final iteration usually differs from the first on a noisy channel
     assert cells[0].frames == cells[2].frames
+
+
+# SHA-256 of the (messages, noise) of frames [lo, hi), keyed by
+# (master_seed, lo, hi, K, N), and seeded sweep counts, both captured from
+# the simulator when it drew every frame through its own frame_rng
+FRAME_DIGESTS = {
+    (77, 0, 100, 8, 16): "48488e2d54e72087352d1fb34d70e9e1a1b5cae972469fc1db0066bd2f01f2e6",
+    (0, 7000, 7040, 33, 64): "45ecce66a4ccba9f3d355509b27cad05d3a9cb8407fc962ad91989e5a55b66b9",
+    (501, 0, 50, 512, 1024): "5f5221b17fe4341200b8ddbebdd0c3123c79bd9a3e11ff219941012e7c9b908f",
+    (2**32 - 1, 2**32 - 1001, 2**32 - 960, 36, 64): "2c2ce1179c39b524c5b1fff090f057d06f352918b32a0bc568e6503dba59100d",
+    (1, 2**32 - 20, 2**32 + 20, 7, 16): "b6155ec43cf44490f67a2d766f4c05da7186f1dac2fb498bfce5edb8730bb547",
+    (2**32, 0, 20, 9, 16): "43798bd968ab543057d6dd2610f8e15c2ff8020c53b4a4cc8ceff01bcf2881ca",
+    (123456789, 3, 4, 1, 8): "f9534bc2508baa17062e9093f9abdb9e6d3069c96fb806171c0104a1cbcf4bb0",
+}
+# (snr_db, iteration, frames, frame_errors, bit_errors) of the sweep below
+SWEEP_COUNTS = {
+    "sc": [(1.0, 1, 600, 209, 2218), (3.0, 1, 600, 17, 134)],
+    "pc-scan": [
+        (1.0, 1, 600, 249, 2486),
+        (1.0, 2, 600, 249, 2741),
+        (3.0, 1, 600, 20, 144),
+        (3.0, 2, 600, 26, 247),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(FRAME_DIGESTS))
+def test_frame_batch_golden_digest(key):
+    seed, lo, hi, K, N = key
+    h = hashlib.sha256()
+    for a in frame_batch(seed, lo, hi, K, N):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    assert h.hexdigest() == FRAME_DIGESTS[key]
+
+
+@pytest.mark.parametrize("kind", list(SWEEP_COUNTS))
+def test_seeded_sweep_counts_golden(kind):
+    cfg = SimConfig(
+        spec=CodeSpec(N=64, K=32, scheme="fc", L=5),
+        decoder=DecoderConfig(kind=kind, t_max=2),
+        snr_points=(1.0, 3.0),
+        max_frames=600,
+        min_frame_errors=10**9,
+        master_seed=2026,
+        batch_frames=200,
+    )
+    cells = sweep(cfg).cells
+    assert [(c.snr_db, c.iteration, c.frames, c.frame_errors, c.bit_errors) for c in cells] == SWEEP_COUNTS[kind]
