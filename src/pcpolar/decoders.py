@@ -28,18 +28,23 @@ visit of one writes +inf into its beta rows at its own level (which the
 parent reads) and at level 0 (which the leaf posteriors read); before
 its first visit the node keeps beta 0, as an unpruned node would.
 
-Each SCAN-family pass runs as one call into a compiled C tree pass
-(treepass.c's one entry point, scan_pass: the traversal, rate-0 pruning,
-both schedules and the leaf kernels) over those same buffers, so the
-per-pass decisions and the results are read back in numpy. The first
-SCAN-family decoder built in a process builds the library with gcc (-O3
--ffp-contract=off, no fast-math) into $XDG_CACHE_HOME/pcpolar or
+Each SCAN-family decode runs as one call into a compiled C tree pass
+(treepass.c's one entry point, scan_decode: all passes, the traversal,
+rate-0 pruning, both schedules, the leaf kernels and the per-pass hard
+decisions). It walks the frames in fixed-size blocks, each in its own
+scratch buffers laid out as above and kept in cache across the passes, so
+its scratch memory does not grow with the batch; it writes the decisions,
+leaf posteriors and coded extrinsics into arrays numpy allocates. The
+first SCAN-family decoder built in a process builds the library with gcc
+(-O3 -ffp-contract=off, no fast-math) into $XDG_CACHE_HOME/pcpolar or
 ~/.cache/pcpolar, keyed by a SHA-256 of source and flags, and loads it
 through ctypes; see treepass.py. Where it cannot be built or loaded, the
-decoders run the numpy engine below, which stays the reference: the two
-are bitwise-equal, input for input, because the C code performs the same
-IEEE operations in the same order. A decoder's `engine` attribute reads
-"c" or "numpy", and `pcpolar decode` and `pcpolar simulate` report it.
+decoders run the numpy engine below, with the layout above over the whole
+batch; it stays the reference: the two are bitwise-equal, input for
+input and for any block size, because the C code performs the same IEEE
+operations in the same order on every frame. A decoder's `engine`
+attribute reads "c" or "numpy", and `pcpolar decode` and `pcpolar
+simulate` report it.
 SC always runs numpy.
 """
 
@@ -192,10 +197,14 @@ class _ScanFamilyDecoder:
       sign can differ, which lambda_i * (+-0) added to a sum from +0.0 hides.
 
     Alphas are cached at PC and checked info leaves; one not yet visited
-    in this pass holds its previous-pass alpha (zero in pass 1). A pass
-    runs in the compiled tree pass (`engine` "c") or else through
-    `_traverse` (`engine` "numpy"); the per-decode buffers live only as
-    long as a decode call.
+    in this pass holds its previous-pass alpha (zero in pass 1). Only the
+    chain walk reads the cache, so the compiled decode skips it when
+    lambda_i is 0 in every pass of the decode (never when it is 0 in some
+    passes only: a later pass reads the alphas that earlier ones cached).
+    A decode runs in one call into the compiled tree pass (`engine` "c"),
+    block by block of frames in its own scratch memory, or else pass by
+    pass through `_traverse` over the whole batch (`engine` "numpy"); the
+    per-decode buffers live only as long as a decode call.
     """
 
     def __init__(self, rolemap: RoleMap, pcs: PcStructure, damping: DampingConfig, schedule: str):
@@ -209,7 +218,7 @@ class _ScanFamilyDecoder:
         self.N = rolemap.N
         self.n = self.N.bit_length() - 1
         self.L = pcs.L
-        self._info_pos = rolemap.info_positions
+        self._info_pos = np.ascontiguousarray(rolemap.info_positions, dtype=np.int64)
         self._sequential = schedule == SEQUENTIAL
         self._kind = classify_leaves(rolemap, pcs)
         # _rate0[s, j], j < N >> s: the level-s node covering leaves [j 2^s, (j+1) 2^s)
@@ -225,24 +234,30 @@ class _ScanFamilyDecoder:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         root, single = _as_llr_batch(llrs, self.N)
         B = root.shape[0]
+        lam_p = [self.damping.lambda_p_at(t) for t in range(t_max)]
+        lam_i = [self.damping.lambda_i_at(t) for t in range(t_max)]
+        if self._lib is not None:
+            K = len(self._info_pos)
+            decisions = np.empty((t_max, B, K), dtype=np.uint8)
+            leaf_post, extr = np.empty((B, self.N)), np.empty((B, self.N))
+            failed = self._lib.scan_decode(
+                self.n, B, t_max, self._sequential, root, self._rate0, self._kind, self.L,
+                np.array(lam_p), np.array(lam_i), self._info_pos, K, decisions, leaf_post, extr,
+            )
+            if failed:
+                raise MemoryError("cannot allocate the compiled tree pass's scratch buffers")
+            return _shaped_result(list(decisions), leaf_post, extr, root + extr, single)
         self._alpha = np.zeros((self.n + 1, self.N, B))
         self._beta = np.zeros((self.n + 1, self.N, B))
         self._alpha[self.n] = root.T
         self._reg = np.empty((self.L, B))
         self._cache = np.zeros((self.N, B))
-        if self._lib is None:
-            self._tmp = np.empty((self.N // 2, B))
+        self._tmp = np.empty((self.N // 2, B))
         snapshots = []
         for t in range(t_max):
             self._reg.fill(np.inf)
-            self._lam_p, self._lam_i = self.damping.lambda_p_at(t), self.damping.lambda_i_at(t)
-            if self._lib is None:
-                self._traverse(self.n, 0)
-            else:
-                self._lib.scan_pass(
-                    self.n, B, self._sequential, self._alpha, self._beta, self._rate0, self._kind,
-                    self.L, self._reg, self._cache, self._lam_p, self._lam_i,
-                )
+            self._lam_p, self._lam_i = lam_p[t], lam_i[t]
+            self._traverse(self.n, 0)
             snapshots.append(self._hard_info())
         leaf_post = np.ascontiguousarray((self._alpha[0] + self._beta[0]).T)
         extr = np.ascontiguousarray(self._beta[self.n].T)

@@ -1,29 +1,42 @@
-/* One SCAN-family pass over the polar tree, exported as scan_pass: the
- * compiled form of decoders._ScanFamilyDecoder._traverse and _leaf_visit.
+/* A whole SCAN-family decode over the polar tree, exported as scan_decode:
+ * the compiled form of decoders._ScanFamilyDecoder's pass loop, _traverse,
+ * _leaf_visit and _hard_info.
  *
- * Every buffer is frame-minor, as in the numpy engine: alpha and beta are
- * (n+1, N, B) with row i of a level holding index i of every frame, so a
- * node's halves are contiguous blocks. rate0 is (n+1, N), row s flagging
- * the level-s nodes whose leaves are all frozen-kind. Each update uses the
- * same IEEE operations in the same order as the numpy engine, so the two
- * are bitwise-equal; build without -ffast-math and with -ffp-contract=off.
+ * scan_decode walks the frames in blocks of BLOCK. For each block it loads
+ * the frames' root LLRs into a scratch (n+1, N, blk) alpha/beta buffer,
+ * runs all t_max passes on it and writes the block's per-pass decisions,
+ * leaf posteriors and coded extrinsics, so the ~2.9 MB of a block at
+ * N=1024 stays in cache across the passes and the scratch memory does not
+ * grow with B. Frames are independent, so any block size gives the same
+ * bits.
+ *
+ * Inside a block every buffer is frame-minor, as in the numpy engine: alpha
+ * and beta are (n+1, N, blk) with row i of a level holding index i of every
+ * frame, so a node's halves are contiguous blocks. rate0 is (n+1, N), row s
+ * flagging the level-s nodes whose leaves are all frozen-kind. Each update
+ * uses the same IEEE operations in the same order as the numpy engine, so
+ * the two are bitwise-equal; build without -ffast-math and with
+ * -ffp-contract=off.
  *
  * The parity layer is the L chain registers (reg[r]: f over this pass's
  * alphas of chain r's info leaves so far) and the leaf alpha cache. A
  * checked info leaf u walks its chain v = u+L, u+2L, ... from g = reg[u % L]:
  * a checked info v sets g = f(g, cache[v]), a PC v adds lambda_i * f(g,
  * cache[v]) to u's feedback, an unchecked info v ends the walk (no PC
- * follows it) and a frozen one is skipped.
+ * follows it) and a frozen one is skipped. Only that walk reads the cache,
+ * so a decode whose lambda_i is 0 in every pass neither fills nor clears it.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 enum { LEAF_FROZEN, LEAF_PC, LEAF_CHECKED, LEAF_UNCHECKED };
-enum { BLOCK = 256 }; /* frames per block of a checked info leaf's walk */
+enum { BLOCK = 16 }; /* frames per block */
 
 typedef struct {
     int64_t N, B, L;
-    int sequential;
+    int sequential, use_cache;
     double *alpha, *beta;
     const uint8_t *rate0;
     const int8_t *kind;
@@ -53,31 +66,27 @@ static void leaf(const pass_t *p, int64_t u)
     const double *a = p->alpha + u * B;
     double *out = p->beta + u * B, *r = p->reg + (u % p->L) * B;
     int kind = p->kind[u];
-    if (kind != LEAF_UNCHECKED)
-        for (int64_t b = 0; b < B; b++)
-            p->cache[u * B + b] = a[b];
+    if (kind != LEAF_UNCHECKED && p->use_cache)
+        memcpy(p->cache + u * B, a, B * sizeof *a);
     if (kind == LEAF_PC) { /* lambda_p * the register: f over I(u), the chain's info prefix */
         for (int64_t b = 0; b < B; b++)
             out[b] = p->lam_p * r[b];
         return;
     }
     fill(out, 0.0, B);
-    if (kind == LEAF_CHECKED && p->lam_i != 0) /* the chain walk, before u joins the register */
-        for (int64_t b0 = 0; b0 < B; b0 += BLOCK) {
-            int64_t nb = B - b0 < BLOCK ? B - b0 : BLOCK;
-            double g[BLOCK];
-            for (int64_t b = 0; b < nb; b++)
-                g[b] = r[b0 + b];
-            for (int64_t v = u + p->L; v < p->N && p->kind[v] != LEAF_UNCHECKED; v += p->L) {
-                const double *c = p->cache + v * B + b0;
-                if (p->kind[v] == LEAF_CHECKED)
-                    for (int64_t b = 0; b < nb; b++)
-                        g[b] = f(g[b], c[b]);
-                else if (p->kind[v] == LEAF_PC)
-                    for (int64_t b = 0; b < nb; b++)
-                        out[b0 + b] += p->lam_i * f(g[b], c[b]);
-            }
+    if (kind == LEAF_CHECKED && p->lam_i != 0) { /* the chain walk, before u joins the register */
+        double g[BLOCK];
+        memcpy(g, r, B * sizeof *r);
+        for (int64_t v = u + p->L; v < p->N && p->kind[v] != LEAF_UNCHECKED; v += p->L) {
+            const double *c = p->cache + v * B;
+            if (p->kind[v] == LEAF_CHECKED)
+                for (int64_t b = 0; b < B; b++)
+                    g[b] = f(g[b], c[b]);
+            else if (p->kind[v] == LEAF_PC)
+                for (int64_t b = 0; b < B; b++)
+                    out[b] += p->lam_i * f(g[b], c[b]);
         }
+    }
     for (int64_t b = 0; b < B; b++)
         r[b] = f(r[b], a[b]);
 }
@@ -126,12 +135,61 @@ static void traverse(const pass_t *p, int s, int64_t base)
     f_plus(beta + hi, b_lo, a_lo, b_hi, half);
 }
 
-void scan_pass(int64_t n, int64_t B, int sequential, double *alpha, double *beta,
-               const uint8_t *rate0, const int8_t *kind, int64_t L, double *reg, double *cache,
-               double lam_p, double lam_i)
+/* Decode B frames with t_max passes. root is the clamped (B, N) LLRs;
+ * lam_p and lam_i hold each pass's damping; info holds the K info leaves.
+ * Writes decisions (t_max, B, K), the leaf posteriors alpha[0] + beta[0]
+ * and the coded extrinsics beta[n], both (B, N). Returns 0, or -1 if the
+ * scratch buffers cannot be allocated. */
+int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, const double *root,
+                const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam_p,
+                const double *lam_i, const int64_t *info, int64_t K, uint8_t *decisions,
+                double *post, double *extr)
 {
-    pass_t p = {.N = (int64_t)1 << n, .B = B, .L = L, .sequential = sequential, .alpha = alpha,
-                .beta = beta, .rate0 = rate0, .kind = kind, .reg = reg, .cache = cache,
-                .lam_p = lam_p, .lam_i = lam_i};
-    traverse(&p, (int)n, 0);
+    int64_t N = (int64_t)1 << n, NB = N * BLOCK;
+    int use_cache = 0;
+    for (int64_t t = 0; t < t_max; t++)
+        use_cache |= lam_i[t] != 0;
+    /* alpha and beta levels, then the cache, then the registers */
+    double *scratch = malloc(((2 * n + 3) * NB + L * BLOCK) * sizeof *scratch);
+    if (!scratch)
+        return -1;
+    pass_t p = {.N = N, .L = L, .sequential = sequential, .use_cache = use_cache,
+                .alpha = scratch, .rate0 = rate0, .kind = kind};
+    for (int64_t f0 = 0; f0 < B; f0 += BLOCK) {
+        int64_t nb = B - f0 < BLOCK ? B - f0 : BLOCK, nN = N * nb;
+        p.B = nb;
+        p.beta = p.alpha + (n + 1) * nN;
+        p.cache = p.beta + (n + 1) * nN;
+        p.reg = p.cache + nN;
+        double *alpha_root = p.alpha + n * nN;
+        const double *alpha0 = p.alpha, *beta0 = p.beta, *beta_root = p.beta + n * nN;
+        /* the numpy engine's zeroed start: alpha[1..n-1] is always written
+         * before it is read, alpha[0] is not under rate-0 nodes */
+        memset(p.alpha, 0, nN * sizeof *p.alpha);
+        memset(p.beta, 0, (n + 1) * nN * sizeof *p.beta);
+        if (use_cache)
+            memset(p.cache, 0, nN * sizeof *p.cache);
+        for (int64_t i = 0; i < N; i++)
+            for (int64_t b = 0; b < nb; b++)
+                alpha_root[i * nb + b] = root[(f0 + b) * N + i];
+        for (int64_t t = 0; t < t_max; t++) {
+            fill(p.reg, INFINITY, L * nb);
+            p.lam_p = lam_p[t];
+            p.lam_i = lam_i[t];
+            traverse(&p, (int)n, 0);
+            uint8_t *dec = decisions + (t * B + f0) * K;
+            for (int64_t k = 0; k < K; k++) {
+                const double *a = alpha0 + info[k] * nb, *bt = beta0 + info[k] * nb;
+                for (int64_t b = 0; b < nb; b++)
+                    dec[b * K + k] = a[b] + bt[b] < 0;
+            }
+        }
+        for (int64_t i = 0; i < N; i++)
+            for (int64_t b = 0; b < nb; b++) {
+                post[(f0 + b) * N + i] = alpha0[i * nb + b] + beta0[i * nb + b];
+                extr[(f0 + b) * N + i] = beta_root[i * nb + b];
+            }
+    }
+    free(scratch);
+    return 0;
 }

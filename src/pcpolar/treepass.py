@@ -10,8 +10,15 @@ processes building at once all end with a whole library. Where no
 library can be built or loaded (no gcc, a cache directory that cannot be
 written or that others can write, a failed compile), `load()` returns
 None and the decoders run the numpy engine, which computes the same
-bits. The pass sees the code only as its leaf kinds and L: a checked info
-leaf finds its parity checks by walking its own chain (see treepass.c).
+bits.
+
+The library exports one entry point, `scan_decode`: a whole decode of a
+batch, all passes, in one call (typed in `open_library`). It runs the
+frames in blocks of a fixed size in its own scratch buffers, so its
+memory does not grow with the batch, and writes the decisions and soft
+outputs into numpy-owned arrays. It sees the code only as its rate-0
+nodes, leaf kinds, L and info positions: a checked info leaf finds its
+parity checks by walking its own chain (see treepass.c).
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ def build(cache: Path) -> Path:
 
 def open_library(path: Path):
     """The built library (a ctypes.CDLL) with its one entry point,
-    `scan_pass`, typed; array arguments must be C-contiguous and of the
+    `scan_decode`, typed; array arguments must be C-contiguous and of the
     declared dtype."""
     import ctypes
 
@@ -72,15 +79,16 @@ def open_library(path: Path):
     def array(dtype):
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
-    f64 = array(np.float64)
+    f64, i64 = array(np.float64), ctypes.c_int64
     lib = ctypes.CDLL(str(path))
-    # n, B, sequential, alpha, beta (n+1, N, B), rate0 (n+1, N), leaf kinds (N,),
-    # L, registers (L, B), cache (N, B), lambda_p, lambda_i
-    lib.scan_pass.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int, f64, f64, array(np.uint8), array(np.int8),
-        ctypes.c_int64, f64, f64, ctypes.c_double, ctypes.c_double,
+    # n, B, t_max, sequential, root LLRs (B, N), rate0 (n+1, N), leaf kinds (N,),
+    # L, lambda_p (t_max,), lambda_i (t_max,), info positions (K,), K,
+    # decisions (t_max, B, K), leaf posteriors (B, N), coded extrinsics (B, N)
+    lib.scan_decode.argtypes = [
+        i64, i64, i64, ctypes.c_int, f64, array(np.uint8), array(np.int8), i64, f64, f64,
+        array(np.int64), i64, array(np.uint8), f64, f64,
     ]
-    lib.scan_pass.restype = None
+    lib.scan_decode.restype = ctypes.c_int  # 0, or -1 when out of memory
     return lib
 
 

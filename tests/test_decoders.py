@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pcpolar.construction import FROZEN, INFO, PC, CodeSpec, RoleMap, build_code
 from pcpolar.decoders import (
     CsrScanDecoder,
     DampingConfig,
+    DecodeResult,
     DecoderConfig,
     PcScanDecoder,
     ScanDecoder,
@@ -820,6 +822,87 @@ def test_compiled_pass_equals_numpy_engine_n1024(schedule):
         assert result_digest(dec.decode(llr, 4)) == result_digest(ref.decode(llr, 4)), name
 
 
+# frames per block of the compiled decode, read from its source
+FRAME_BLOCK = int(re.search(r"BLOCK = (\d+)", treepass.SOURCE.read_text()).group(1))
+BLOCK_BATCHES = [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 3, 300]
+
+
+def scan_family_builds(code, schedule):
+    """The SCAN-family decoders of a golden code by name: scan on the plain
+    code of the same N and K, and pc-scan with three dampings, one of them
+    zero lambda_i in pass 1 only."""
+    spec = GOLDEN_CODES[code]
+    rm, pcs = build_code(spec)
+    plain_rm, _ = build_code(CodeSpec(N=spec.N, K=spec.K))
+    return {
+        "scan": lambda: ScanDecoder(plain_rm, schedule),
+        "pc-scan": lambda: PcScanDecoder(rm, pcs, schedule=schedule),
+        "pc-scan-damped": lambda: PcScanDecoder(rm, pcs, GOLDEN_DAMPING, schedule),
+        "csr-scan": lambda: CsrScanDecoder(rm, pcs, schedule),
+    }
+
+
+def first_rows(res, B):
+    """A batch DecodeResult cut to its first B frames."""
+    cut = [a[:B] for a in (res.info_bits, res.leaf_posteriors, res.coded_extrinsics, res.coded_posteriors)]
+    return DecodeResult(*cut, res.iterations_run, tuple(a[:B] for a in res.iteration_info_bits))
+
+
+@needs_compiled
+@pytest.mark.parametrize("code", list(GOLDEN_CODES))
+def test_compiled_decode_equals_numpy_engine_across_frame_blocks(code):
+    spec = GOLDEN_CODES[code]
+    rm, pcs = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, pcs, max(BLOCK_BATCHES), 1.5, 31)
+    for schedule in ("sequential", "literal"):
+        for name, build in scan_family_builds(code, schedule).items():
+            dec = build()
+            with numpy_engine():
+                ref = build()
+            # numpy decodes each frame on its own, so its first B rows are
+            # its decode of the first B frames (and one decode costs less)
+            want = ref.decode(llr, 2)
+            for B in BLOCK_BATCHES:
+                got = dec.decode(llr[:B], 2)
+                assert result_digest(got) == result_digest(first_rows(want, B)), (name, schedule, B)
+
+
+@needs_compiled
+@pytest.mark.parametrize("lambda_i", [(0.0, 0.67), (0.0, 0.0, 0.5)])
+def test_compiled_decode_fills_the_cache_when_lambda_i_is_zero_in_some_passes(lambda_i):
+    """A pass with lambda_i = 0 reads no cache, but a later pass reads the
+    cached alphas of leaves it has not visited yet, so the compiled decode
+    may skip the cache only when lambda_i is 0 in every pass."""
+    damping = DampingConfig((1.0,), lambda_i)
+    for code in ("64-fc", "1024-fc", "64-fc-L2"):
+        spec = GOLDEN_CODES[code]
+        rm, pcs = build_code(spec)
+        _, llr = noisy_llrs(spec, rm, pcs, FRAME_BLOCK + 1, 1.5, 32)
+        for schedule in ("sequential", "literal"):
+            dec = PcScanDecoder(rm, pcs, damping, schedule)
+            with numpy_engine():
+                ref = PcScanDecoder(rm, pcs, damping, schedule)
+            got, want = dec.decode(llr, 3), ref.decode(llr, 3)
+            assert result_digest(got) == result_digest(want), (code, schedule)
+
+
+@pytest.mark.parametrize("kind", ["sc", "scan", "pc-scan", "csr-scan"])
+def test_empty_batch_gives_empty_results_on_both_engines(kind):
+    spec = CodeSpec(N=64, K=32) if kind == "scan" else GOLDEN_CODES["64-fc"]
+    rm, pcs = build_code(spec)
+    dec = DecoderConfig(kind=kind, t_max=1 if kind == "sc" else 3)
+    results = [make_decoder(rm, pcs, dec).decode(np.empty((0, 64)), dec.iterations)]
+    with numpy_engine():
+        results.append(make_decoder(rm, pcs, dec).decode(np.empty((0, 64)), dec.iterations))
+    for res in results:
+        assert res.info_bits.shape == (0, 32) and res.info_bits.dtype == np.uint8
+        for field in (res.leaf_posteriors, res.coded_extrinsics, res.coded_posteriors):
+            assert field.shape == (0, 64) and field.dtype == np.float64
+        assert res.iterations_run == dec.iterations
+        assert [a.shape for a in res.iteration_info_bits] == [(0, 32)] * dec.iterations
+    assert result_digest(results[0]) == result_digest(results[1])
+
+
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
 def test_tree_pass_source_compiles_without_warnings():
     cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(treepass.SOURCE)]
@@ -828,7 +911,8 @@ def test_tree_pass_source_compiles_without_warnings():
 
 
 # run with the sanitized library as argv[1]: every golden code at B=300 (past
-# the C pass's 256-frame block) and B=1, each result against the plain build's
+# 256 frames and not a whole number of frame blocks), B=1 and one frame past
+# a block, each result against the plain build's
 SANITIZED_DECODES = """
 import sys
 from pcpolar import treepass
@@ -843,7 +927,7 @@ for code, spec in t.GOLDEN_CODES.items():
     for kind in ("pc-scan", "csr-scan"):
         for schedule in ("sequential", "literal"):
             dec = DecoderConfig(kind, 2, schedule=schedule)
-            for frames in (llr, llr[0]):
+            for frames in (llr, llr[0], llr[: t.FRAME_BLOCK + 1]):
                 digests = set()
                 for lib in libs:
                     treepass.load = lambda: lib
