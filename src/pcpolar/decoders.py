@@ -155,7 +155,7 @@ def _shaped_result(snapshots, leaf_posteriors, coded_extrinsics, coded_posterior
 
 
 def _as_llr_batch(llrs, N: int) -> tuple[np.ndarray, bool]:
-    """The input as a clamped (B, N) copy, plus whether it was one frame."""
+    """The input as a clamped, C-contiguous (B, N) copy, plus whether it was one frame."""
     a = np.asarray(llrs, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
@@ -168,7 +168,7 @@ def _as_llr_batch(llrs, N: int) -> tuple[np.ndarray, bool]:
         raise ValueError(f"LLR length {a.shape[1]} != N {N}")
     if np.isnan(a).any():
         raise ValueError("LLRs must not be NaN")
-    return np.clip(a, -LLR_MAX, LLR_MAX), single
+    return np.ascontiguousarray(np.clip(a, -LLR_MAX, LLR_MAX)), single
 
 
 class _ScanFamilyDecoder:
@@ -234,15 +234,15 @@ class _ScanFamilyDecoder:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         root, single = _as_llr_batch(llrs, self.N)
         B = root.shape[0]
-        lam_p = [self.damping.lambda_p_at(t) for t in range(t_max)]
-        lam_i = [self.damping.lambda_i_at(t) for t in range(t_max)]
+        lam_p = np.array([self.damping.lambda_p_at(t) for t in range(t_max)], dtype=np.float64)
+        lam_i = np.array([self.damping.lambda_i_at(t) for t in range(t_max)], dtype=np.float64)
         if self._lib is not None:
             K = len(self._info_pos)
             decisions = np.empty((t_max, B, K), dtype=np.uint8)
             leaf_post, extr = np.empty((B, self.N)), np.empty((B, self.N))
             failed = self._lib.scan_decode(
                 self.n, B, t_max, self._sequential, root, self._rate0, self._kind, self.L,
-                np.array(lam_p), np.array(lam_i), self._info_pos, K, decisions, leaf_post, extr,
+                lam_p, lam_i, self._info_pos, K, decisions, leaf_post, extr,
             )
             if failed:
                 raise MemoryError("cannot allocate the compiled tree pass's scratch buffers")

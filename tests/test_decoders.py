@@ -640,6 +640,21 @@ def result_digest(res):
     return h.hexdigest()
 
 
+def golden_decoder(code, decoder, schedule):
+    """The decoder a golden digest key names, built on a golden code."""
+    spec = GOLDEN_CODES[code]
+    rm, pcs = build_code(spec)
+    if decoder == "sc":  # one pass, no schedule ("-" in the key)
+        return ScDecoder(rm, pcs)
+    if decoder == "scan":  # same N and K, no PC bits
+        return ScanDecoder(build_code(CodeSpec(N=spec.N, K=spec.K))[0], schedule)
+    if decoder == "pc-scan":
+        return PcScanDecoder(rm, pcs, schedule=schedule)
+    if decoder == "pc-scan-damped":  # lambda_i = 0 in pass 1, lambda_p != 1
+        return PcScanDecoder(rm, pcs, GOLDEN_DAMPING, schedule)
+    return CsrScanDecoder(rm, pcs, schedule)
+
+
 def golden_decode(code, decoder, schedule, frames):
     spec = GOLDEN_CODES[code]
     rm, pcs = build_code(spec)
@@ -647,16 +662,8 @@ def golden_decode(code, decoder, schedule, frames):
     _, llr = noisy_llrs(spec, rm, pcs, 6, 1.5, seed)
     if frames == "single":
         llr = llr[3]
-    if decoder == "sc":  # one pass, no schedule ("-" in the key)
-        return ScDecoder(rm, pcs).decode(llr)
-    if decoder == "scan":  # same N and K, no PC bits
-        plain = CodeSpec(N=spec.N, K=spec.K)
-        return ScanDecoder(build_code(plain)[0], schedule).decode(llr, 3)
-    if decoder == "pc-scan":
-        return PcScanDecoder(rm, pcs, schedule=schedule).decode(llr, 3)
-    if decoder == "pc-scan-damped":  # lambda_i = 0 in pass 1, lambda_p != 1
-        return PcScanDecoder(rm, pcs, GOLDEN_DAMPING, schedule).decode(llr, 3)
-    return CsrScanDecoder(rm, pcs, schedule).decode(llr, 3)
+    dec = golden_decoder(code, decoder, schedule)
+    return dec.decode(llr) if decoder == "sc" else dec.decode(llr, 3)
 
 
 def changed_golden_digests(keys=GOLDEN_DIGESTS):
@@ -827,21 +834,6 @@ FRAME_BLOCK = int(re.search(r"BLOCK = (\d+)", treepass.SOURCE.read_text()).group
 BLOCK_BATCHES = [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 3, 300]
 
 
-def scan_family_builds(code, schedule):
-    """The SCAN-family decoders of a golden code by name: scan on the plain
-    code of the same N and K, and pc-scan with three dampings, one of them
-    zero lambda_i in pass 1 only."""
-    spec = GOLDEN_CODES[code]
-    rm, pcs = build_code(spec)
-    plain_rm, _ = build_code(CodeSpec(N=spec.N, K=spec.K))
-    return {
-        "scan": lambda: ScanDecoder(plain_rm, schedule),
-        "pc-scan": lambda: PcScanDecoder(rm, pcs, schedule=schedule),
-        "pc-scan-damped": lambda: PcScanDecoder(rm, pcs, GOLDEN_DAMPING, schedule),
-        "csr-scan": lambda: CsrScanDecoder(rm, pcs, schedule),
-    }
-
-
 def first_rows(res, B):
     """A batch DecodeResult cut to its first B frames."""
     cut = [a[:B] for a in (res.info_bits, res.leaf_posteriors, res.coded_extrinsics, res.coded_posteriors)]
@@ -855,10 +847,10 @@ def test_compiled_decode_equals_numpy_engine_across_frame_blocks(code):
     rm, pcs = build_code(spec)
     _, llr = noisy_llrs(spec, rm, pcs, max(BLOCK_BATCHES), 1.5, 31)
     for schedule in ("sequential", "literal"):
-        for name, build in scan_family_builds(code, schedule).items():
-            dec = build()
+        for name in ("scan", "pc-scan", "pc-scan-damped", "csr-scan"):
+            dec = golden_decoder(code, name, schedule)
             with numpy_engine():
-                ref = build()
+                ref = golden_decoder(code, name, schedule)
             # numpy decodes each frame on its own, so its first B rows are
             # its decode of the first B frames (and one decode costs less)
             want = ref.decode(llr, 2)
@@ -868,22 +860,20 @@ def test_compiled_decode_equals_numpy_engine_across_frame_blocks(code):
 
 
 @needs_compiled
-@pytest.mark.parametrize("lambda_i", [(0.0, 0.67), (0.0, 0.0, 0.5)])
-def test_compiled_decode_fills_the_cache_when_lambda_i_is_zero_in_some_passes(lambda_i):
-    """A pass with lambda_i = 0 reads no cache, but a later pass reads the
-    cached alphas of leaves it has not visited yet, so the compiled decode
-    may skip the cache only when lambda_i is 0 in every pass."""
-    damping = DampingConfig((1.0,), lambda_i)
-    for code in ("64-fc", "1024-fc", "64-fc-L2"):
-        spec = GOLDEN_CODES[code]
-        rm, pcs = build_code(spec)
-        _, llr = noisy_llrs(spec, rm, pcs, FRAME_BLOCK + 1, 1.5, 32)
-        for schedule in ("sequential", "literal"):
-            dec = PcScanDecoder(rm, pcs, damping, schedule)
-            with numpy_engine():
-                ref = PcScanDecoder(rm, pcs, damping, schedule)
-            got, want = dec.decode(llr, 3), ref.decode(llr, 3)
-            assert result_digest(got) == result_digest(want), (code, schedule)
+def test_compiled_decode_takes_integer_damping_and_any_batch_layout():
+    """Integer damping factors and F-ordered or strided batches, which the
+    numpy engine takes as they are, decode bitwise alike on the compiled one."""
+    spec = GOLDEN_CODES["64-fc"]
+    rm, pcs = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, pcs, 2 * FRAME_BLOCK + 3, 1.5, 33)
+    fortran = np.asfortranarray(llr)
+    layouts = {"F-ordered": fortran, "row-strided": llr[::2], "strided frame": fortran[3]}
+    for damping in (DampingConfig((1,), (0,)), DampingConfig((1, 0), (0, 1))):
+        dec = PcScanDecoder(rm, pcs, damping)
+        with numpy_engine():
+            ref = PcScanDecoder(rm, pcs, damping)
+        for name, batch in layouts.items():
+            assert result_digest(dec.decode(batch, 3)) == result_digest(ref.decode(batch, 3)), (damping, name)
 
 
 @pytest.mark.parametrize("kind", ["sc", "scan", "pc-scan", "csr-scan"])
