@@ -307,6 +307,8 @@ def cmd_decode(args) -> int:
         frames = [_parse_llr_line(args.llrs, spec.N)]
     elif args.infile is not None:
         lines = [l for l in _read_text(args.infile).splitlines() if l.strip()]
+        if not lines:
+            raise CliError(f"{args.infile} holds no LLR lines")
         frames = [_parse_llr_line(l, spec.N) for l in lines]
     else:
         raise CliError("decode needs --llrs or --in file")
@@ -385,11 +387,9 @@ def cmd_simulate(args) -> int:
     rows: list[dict] = []
     per_decoder = []
     config_echo = None
-    engines = set()
     t_start = time.perf_counter()
     for kind in kinds:
         dec = resolve_decoder(cfg, kind=kind)
-        engines.add(engine(dec.kind))
         sim_cfg = resolve_sim(cfg, spec, dec, args)
         if config_echo is None:
             config_echo = resolved_config_dict(spec, dec, sim_cfg)
@@ -415,8 +415,7 @@ def cmd_simulate(args) -> int:
         "timing": {
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "total_seconds": time.perf_counter() - t_start,
-            # "c" when the SCAN-family decoders ran the compiled tree pass
-            "engine": "c" if "c" in engines else "numpy",
+            "engine": engine(),
         },
     }
     out = args.out or "simulation"

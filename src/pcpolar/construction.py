@@ -3,7 +3,7 @@
 Builds the polarization-weight reliability sequence, assigns frozen /
 information / parity-check roles for the supported schemes (none, fc, mc,
 nr), and derives the parity-check chain structure used by the encoder and
-the SCAN-family decoders.
+the decoders.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""SC, SCAN, PC-SCAN and CSR-SCAN decoders over the shared polar tree; the
-last three are one engine, _ScanFamilyDecoder, built with other arguments.
+"""SC, SCAN, PC-SCAN and CSR-SCAN decoders over the shared polar tree: all
+four are one engine, _ScanFamilyDecoder, built with other arguments. SC is
+that engine run for one sequential pass with hard feedback at its leaves.
 
 All message passing runs in min-sum LLR arithmetic with a genuine IEEE
 +inf for known-zero feedback: f(+inf, x) = x exactly, which is what makes
@@ -16,26 +17,26 @@ array in the result mirrors the input's batch shape. A decoder instance
 owns its buffers and is single-threaded; independent instances may run
 concurrently.
 
-The SCAN-family engine stores its per-level alpha and beta messages (one
-(n+1, N, B) array each), its leaf alpha cache and its chain registers
-frame-minor, as (N, B) arrays per level ((L, B) for the registers): row
-i holds index i of every frame, so the two halves of a tree node are
-contiguous row blocks and every f runs in place over them. Subtrees
-whose leaves are all frozen-kind (rate-0 nodes) are not descended into:
+The engine stores its per-level alpha and beta messages (one (n+1, N, B)
+array each), its leaf alpha cache and its chain registers frame-minor, as
+(N, B) arrays per level ((L, B) for the registers): row i holds index i
+of every frame, so the two halves of a tree node are contiguous row
+blocks and every f runs in place over them. Subtrees whose leaves are
+all frozen-kind (rate-0 nodes) are not descended into:
 their leaves feed back +inf, and the beta update of two +inf children
 over finite alphas is +inf again, so such a node always returns +inf. A
 visit of one writes +inf into its beta rows at its own level (which the
 parent reads) and at level 0 (which the leaf posteriors read); before
 its first visit the node keeps beta 0, as an unpruned node would.
 
-Each SCAN-family decode runs as one call into a compiled C tree pass
-(treepass.c's one entry point, scan_decode: all passes, the traversal,
-rate-0 pruning, both schedules, the leaf kernels and the per-pass hard
+Each decode runs as one call into a compiled C tree pass (treepass.c's
+one entry point, scan_decode: all passes, the traversal, rate-0 pruning,
+both schedules, the leaf kernels, hard or soft, and the per-pass hard
 decisions). It walks the frames in fixed-size blocks, each in its own
 scratch buffers laid out as above and kept in cache across the passes, so
 its scratch memory does not grow with the batch; it writes the decisions,
 leaf posteriors and coded extrinsics into arrays numpy allocates. The
-first SCAN-family decoder built in a process builds the library with gcc
+first decoder built in a process builds the library with gcc
 (-O3 -ffp-contract=off, no fast-math) into $XDG_CACHE_HOME/pcpolar or
 ~/.cache/pcpolar, keyed by a SHA-256 of source and flags, and loads it
 through ctypes; see treepass.py. Where it cannot be built or loaded, the
@@ -45,7 +46,6 @@ input and for any block size, because the C code performs the same IEEE
 operations in the same order on every frame. A decoder's `engine`
 attribute reads "c" or "numpy", and `pcpolar decode` and `pcpolar
 simulate` report it.
-SC always runs numpy.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import treepass
 from .channel import LLR_MAX
-from .construction import FROZEN, PC, PcStructure, RoleMap, classify_leaves, derive_pc_structure
+from .construction import PC, PcStructure, RoleMap, classify_leaves, derive_pc_structure
 from .construction import LEAF_CHECKED, LEAF_FROZEN, LEAF_PC, LEAF_UNCHECKED
 
 SEQUENTIAL = "sequential"
@@ -173,7 +173,8 @@ def _as_llr_batch(llrs, N: int) -> tuple[np.ndarray, bool]:
 
 class _ScanFamilyDecoder:
     """SCAN on the binary decoding tree with a parity-check tanner layer at
-    its leaves; ScanDecoder, PcScanDecoder and CsrScanDecoder only build it.
+    its leaves; ScDecoder, ScanDecoder, PcScanDecoder and CsrScanDecoder
+    only build it.
 
     The sequential schedule recomputes the right child's alpha after the
     left subtree has refreshed its beta; the literal schedule computes
@@ -196,6 +197,14 @@ class _ScanFamilyDecoder:
       the negatives) do not depend on the order of a fold, so only a zero's
       sign can differ, which lambda_i * (+-0) added to a sum from +0.0 hides.
 
+    With `hard`, an info leaf feeds back -inf where its alpha < 0 and +inf
+    elsewhere (its decision) and folds that, not its alpha, into its
+    register, so a PC leaf's register is +-inf with the parity of its
+    chain's decided info bits. One sequential pass with (lambda_p,
+    lambda_i) = (1, 0) is then SC: f(a, +-inf) = +-a, so alpha_r is SC's
+    a_hi +- a_lo and the betas are its partial sums; only the sign of an
+    internal zero can differ, which no output shows.
+
     Alphas are cached at PC and checked info leaves; one not yet visited
     in this pass holds its previous-pass alpha (zero in pass 1). Only the
     chain walk reads the cache, so the compiled decode skips it when
@@ -207,7 +216,9 @@ class _ScanFamilyDecoder:
     per-decode buffers live only as long as a decode call.
     """
 
-    def __init__(self, rolemap: RoleMap, pcs: PcStructure, damping: DampingConfig, schedule: str):
+    def __init__(
+        self, rolemap: RoleMap, pcs: PcStructure, damping: DampingConfig, schedule: str, hard: bool = False
+    ):
         if schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
         if pcs != derive_pc_structure(rolemap, pcs.L):
@@ -220,6 +231,7 @@ class _ScanFamilyDecoder:
         self.L = pcs.L
         self._info_pos = np.ascontiguousarray(rolemap.info_positions, dtype=np.int64)
         self._sequential = schedule == SEQUENTIAL
+        self._hard = hard
         self._kind = classify_leaves(rolemap, pcs)
         # _rate0[s, j], j < N >> s: the level-s node covering leaves [j 2^s, (j+1) 2^s)
         frozen = self._kind == LEAF_FROZEN
@@ -241,12 +253,12 @@ class _ScanFamilyDecoder:
             decisions = np.empty((t_max, B, K), dtype=np.uint8)
             leaf_post, extr = np.empty((B, self.N)), np.empty((B, self.N))
             failed = self._lib.scan_decode(
-                self.n, B, t_max, self._sequential, root, self._rate0, self._kind, self.L,
+                self.n, B, t_max, self._sequential, self._hard, root, self._rate0, self._kind, self.L,
                 lam_p, lam_i, self._info_pos, K, decisions, leaf_post, extr,
             )
             if failed:
                 raise MemoryError("cannot allocate the compiled tree pass's scratch buffers")
-            return _shaped_result(list(decisions), leaf_post, extr, root + extr, single)
+            return self._result(list(decisions), leaf_post, extr, root, single)
         self._alpha = np.zeros((self.n + 1, self.N, B))
         self._beta = np.zeros((self.n + 1, self.N, B))
         self._alpha[self.n] = root.T
@@ -263,6 +275,11 @@ class _ScanFamilyDecoder:
         extr = np.ascontiguousarray(self._beta[self.n].T)
         # the buffers are per decode; an idle decoder should not hold them
         self._alpha = self._beta = self._reg = self._cache = self._tmp = None
+        return self._result(snapshots, leaf_post, extr, root, single)
+
+    def _result(self, snapshots, leaf_post, extr, root, single) -> DecodeResult:
+        if self._hard:  # SC's contract: no coded extrinsics, the channel LLRs as coded posteriors
+            return _shaped_result(snapshots, leaf_post, np.zeros_like(extr), root, single)
         return _shaped_result(snapshots, leaf_post, extr, root + extr, single)
 
     def _hard_info(self) -> np.ndarray:
@@ -306,7 +323,11 @@ class _ScanFamilyDecoder:
         if k == LEAF_PC:
             np.multiply(self._lam_p, reg, out=out)
             return
-        out[:] = 0.0
+        if self._hard:  # SC: the decision as +-inf is the feedback, and joins reg
+            out[:] = np.where(alpha < 0, -np.inf, np.inf)
+            alpha = out
+        else:
+            out[:] = 0.0
         if k == LEAF_CHECKED and self._lam_i != 0:  # the chain walk, before u joins reg
             g = reg.copy()
             for v in range(u + self.L, self.N, self.L):
@@ -353,56 +374,22 @@ class CsrScanDecoder(_ScanFamilyDecoder):
         super().__init__(rolemap, pcs, DampingConfig((1.0,), (0.0,)), schedule)
 
 
-class ScDecoder:
-    """Min-sum successive cancellation with hard PC constraint tracking.
-
-    Frozen leaves decide 0, PC leaves replay the encoder's register
+class ScDecoder(_ScanFamilyDecoder):
+    """Min-sum successive cancellation with hard PC constraint tracking: the
+    engine with hard leaves, one sequential pass and (lambda_p, lambda_i) =
+    (1, 0). Frozen leaves decide 0, PC leaves replay the encoder's register
     parity over the already-decided info bits, info leaves take the sign
-    decision. Soft outputs are the hard-decision-equivalent +-inf
-    posteriors; coded extrinsics are all-zero.
+    decision. Leaf posteriors are the +-inf of those decisions; coded
+    extrinsics are all zero and coded posteriors are the (clamped) LLRs.
     """
 
-    engine = "numpy"
-
     def __init__(self, rolemap: RoleMap, pcs: PcStructure):
-        self.rolemap = rolemap
-        self.L = pcs.L
-        self.N = rolemap.N
-        self._role = rolemap.role
-        self._info_pos = rolemap.info_positions
+        super().__init__(rolemap, pcs, DampingConfig((1.0,), (0.0,)), SEQUENTIAL, hard=True)
 
     def decode(self, llrs, t_max: int = 1) -> DecodeResult:
         if t_max != 1:
             raise ValueError(f"SC decodes in one pass; t_max must be 1, got {t_max}")
-        root, single = _as_llr_batch(llrs, self.N)
-        B = root.shape[0]
-        u_hat = np.zeros((B, self.N), dtype=np.uint8)
-        sigma = np.zeros((B, self.L), dtype=np.uint8)
-
-        def rec(alpha: np.ndarray, base: int) -> np.ndarray:
-            m = alpha.shape[1]
-            if m == 1:
-                role = self._role[base]
-                if role == FROZEN:
-                    bits = np.zeros(B, dtype=np.uint8)
-                elif role == PC:
-                    bits = sigma[:, base % self.L].copy()
-                else:
-                    bits = (alpha[:, 0] < 0).astype(np.uint8)
-                    sigma[:, base % self.L] ^= bits
-                u_hat[:, base] = bits
-                return bits[:, None]
-            half = m // 2
-            a_lo, a_hi = alpha[:, :half], alpha[:, half:]
-            x_l = rec(f_pair(a_lo, a_hi), base)
-            x_r = rec(a_hi + (1.0 - 2.0 * x_l) * a_lo, base + half)
-            return np.concatenate([x_l ^ x_r, x_r], axis=1)
-
-        rec(root, 0)
-        leaf_post = np.where(u_hat == 0, np.inf, -np.inf)
-        return _shaped_result(
-            [u_hat[:, self._info_pos]], leaf_post, np.zeros((B, self.N)), root, single
-        )
+        return super().decode(llrs)
 
 
 def make_decoder(rolemap: RoleMap, pcs: PcStructure, dec: DecoderConfig):
@@ -417,8 +404,7 @@ def make_decoder(rolemap: RoleMap, pcs: PcStructure, dec: DecoderConfig):
     return build[dec.kind]()
 
 
-def engine(kind: str) -> str:
-    """The engine decoders of this kind run on, as their `engine` attribute
-    reads: "c" for the compiled tree pass, else "numpy". SC always runs
-    numpy; the SCAN family does where the tree pass cannot be loaded."""
-    return "numpy" if kind == "sc" or treepass.load() is None else "c"
+def engine() -> str:
+    """The engine decoders run on, as their `engine` attribute reads: "c"
+    for the compiled tree pass, else "numpy", where it cannot be loaded."""
+    return "numpy" if treepass.load() is None else "c"

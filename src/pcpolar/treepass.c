@@ -1,6 +1,6 @@
-/* A whole SCAN-family decode over the polar tree, exported as scan_decode:
- * the compiled form of decoders._ScanFamilyDecoder's pass loop, _traverse,
- * _leaf_visit and _hard_info.
+/* A whole decode over the polar tree, exported as scan_decode: the compiled
+ * form of decoders._ScanFamilyDecoder's pass loop, _traverse, _leaf_visit
+ * and _hard_info, for SC (hard leaves, one pass) and the SCAN family.
  *
  * scan_decode walks the frames in blocks of BLOCK. For each block it loads
  * the frames' root LLRs into a scratch (n+1, N, blk) alpha/beta buffer,
@@ -36,7 +36,7 @@ enum { BLOCK = 16 }; /* frames per block */
 
 typedef struct {
     int64_t N, B, L;
-    int sequential, use_cache;
+    int sequential, use_cache, hard;
     double *alpha, *beta;
     const uint8_t *rate0;
     const int8_t *kind;
@@ -73,7 +73,12 @@ static void leaf(const pass_t *p, int64_t u)
             out[b] = p->lam_p * r[b];
         return;
     }
-    fill(out, 0.0, B);
+    if (p->hard) { /* SC: the decision as +-inf is the feedback, and joins the register */
+        for (int64_t b = 0; b < B; b++)
+            out[b] = a[b] < 0 ? -INFINITY : INFINITY;
+        a = out;
+    } else
+        fill(out, 0.0, B);
     if (kind == LEAF_CHECKED && p->lam_i != 0) { /* the chain walk, before u joins the register */
         double g[BLOCK];
         memcpy(g, r, B * sizeof *r);
@@ -137,10 +142,12 @@ static void traverse(const pass_t *p, int s, int64_t base)
 
 /* Decode B frames with t_max passes. root is the clamped (B, N) LLRs;
  * lam_p and lam_i hold each pass's damping; info holds the K info leaves.
+ * hard makes an info leaf feed back its decision as +-inf: one sequential
+ * pass of it with lam_p 1 and lam_i 0 is SC, whose alpha_r is a_hi +- a_lo.
  * Writes decisions (t_max, B, K), the leaf posteriors alpha[0] + beta[0]
  * and the coded extrinsics beta[n], both (B, N). Returns 0, or -1 if the
  * scratch buffers cannot be allocated. */
-int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, const double *root,
+int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int hard, const double *root,
                 const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam_p,
                 const double *lam_i, const int64_t *info, int64_t K, uint8_t *decisions,
                 double *post, double *extr)
@@ -153,7 +160,7 @@ int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, const doubl
     double *scratch = malloc(((2 * n + 3) * NB + L * BLOCK) * sizeof *scratch);
     if (!scratch)
         return -1;
-    pass_t p = {.N = N, .L = L, .sequential = sequential, .use_cache = use_cache,
+    pass_t p = {.N = N, .L = L, .sequential = sequential, .use_cache = use_cache, .hard = hard,
                 .alpha = scratch, .rate0 = rate0, .kind = kind};
     for (int64_t f0 = 0; f0 < B; f0 += BLOCK) {
         int64_t nb = B - f0 < BLOCK ? B - f0 : BLOCK, nN = N * nb;

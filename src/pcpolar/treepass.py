@@ -1,6 +1,6 @@
-"""Build and load the compiled SCAN-family tree pass (treepass.c).
+"""Build and load the compiled tree pass (treepass.c).
 
-The first SCAN-family decoder built in a process calls `load()`. It
+The first decoder built in a process calls `load()`. It
 compiles treepass.c with the installed gcc, unless a build of the same
 source and flags is already cached, and opens it through ctypes. Builds
 live in `$XDG_CACHE_HOME/pcpolar` (else `~/.cache/pcpolar`), a directory
@@ -81,11 +81,11 @@ def open_library(path: Path):
 
     f64, i64 = array(np.float64), ctypes.c_int64
     lib = ctypes.CDLL(str(path))
-    # n, B, t_max, sequential, root LLRs (B, N), rate0 (n+1, N), leaf kinds (N,),
+    # n, B, t_max, sequential, hard, root LLRs (B, N), rate0 (n+1, N), leaf kinds (N,),
     # L, lambda_p (t_max,), lambda_i (t_max,), info positions (K,), K,
     # decisions (t_max, B, K), leaf posteriors (B, N), coded extrinsics (B, N)
     lib.scan_decode.argtypes = [
-        i64, i64, i64, ctypes.c_int, f64, array(np.uint8), array(np.int8), i64, f64, f64,
+        i64, i64, i64, ctypes.c_int, ctypes.c_int, f64, array(np.uint8), array(np.int8), i64, f64, f64,
         array(np.int64), i64, array(np.uint8), f64, f64,
     ]
     lib.scan_decode.restype = ctypes.c_int  # 0, or -1 when out of memory

@@ -239,6 +239,19 @@ def test_decode_is_make_decoder_decode(tmp_path, kind):
     assert main(["decode", "--config", cfg, "--llrs", ones, "--decoder", kind, "--t-max", "0"]) == 1
 
 
+def test_decode_rejects_a_file_with_no_llr_lines(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    for text in ("", "\n  \n"):
+        frames = tmp_path / "frames.txt"
+        frames.write_text(text)
+        out = tmp_path / "dec.json"
+        capsys.readouterr()
+        assert main(["decode", "--config", cfg, "--in", str(frames), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not out.exists()
+
+
 def test_decode_rejects_wrong_length(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["decode", "--config", cfg, "--llrs", "1.0,2.0"]) == 1
@@ -264,25 +277,19 @@ def test_engine_is_reported(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     llrs = "--llrs=" + ",".join(["1.0"] * 16)
 
-    def engines():
-        assert main(["decode", "--config", cfg, llrs, "--out", str(tmp_path / "d.json")]) == 0
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    def engines(decoder):
+        decode = ["decode", "--config", cfg, llrs, "--decoder", decoder, "--out", str(tmp_path / "d.json")]
+        assert main(decode) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--decoders", decoder]) == 0
         return json.loads((tmp_path / "d.json").read_text())["engine"], json.loads(
             (tmp_path / "s.json").read_text()
         )["timing"]["engine"]
 
+    # SC runs on the same engine as the SCAN family
     compiled = "numpy" if treepass.load() is None else "c"
-    assert engines() == (compiled, compiled)
+    assert engines("csr-scan") == engines("sc") == (compiled, compiled)
     monkeypatch.setattr(treepass, "load", lambda: None)
-    assert engines() == ("numpy", "numpy")
-
-    def unreachable():
-        raise AssertionError("SC must not load the compiled tree pass")
-
-    # SC runs numpy and never loads the library
-    monkeypatch.setattr(treepass, "load", unreachable)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sc"), "--decoders", "sc"]) == 0
-    assert json.loads((tmp_path / "sc.json").read_text())["timing"]["engine"] == "numpy"
+    assert engines("csr-scan") == engines("sc") == ("numpy", "numpy")
 
 
 def test_simulate_noiseless_flag(tmp_path):

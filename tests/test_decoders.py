@@ -35,7 +35,7 @@ llr_values = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 def numpy_engine():
-    """Inside this block, SCAN-family decoders are built on the numpy engine."""
+    """Inside this block, decoders are built on the numpy engine."""
     return mock.patch.object(treepass, "load", lambda: None)
 
 
@@ -514,7 +514,7 @@ def test_scan_family_rejects_a_structure_not_derived_from_the_code():
     rm, pcs = build_code(spec)
     u = next(u for u, iu in pcs.checked_sets.items() if len(iu) >= 2)
     trimmed = dataclasses.replace(pcs, checked_sets={**pcs.checked_sets, u: pcs.checked_sets[u][1:]})
-    for build in (lambda p: PcScanDecoder(rm, p), lambda p: CsrScanDecoder(rm, p)):
+    for build in (lambda p: ScDecoder(rm, p), lambda p: PcScanDecoder(rm, p), lambda p: CsrScanDecoder(rm, p)):
         build(pcs)
         with pytest.raises(ValueError, match="chain structure"):
             build(trimmed)
@@ -533,6 +533,8 @@ GOLDEN_CODES = {
     # leaf's alpha before its left (checked info) leaf is visited
     "64-fc-L1": CodeSpec(N=64, K=32, scheme="fc", L=1),
     "64-fc-L2": CodeSpec(N=64, K=32, scheme="fc", L=2),
+    "128-mc": CodeSpec(N=128, K=64, scheme="mc", L=5),
+    "64-none": CodeSpec(N=64, K=20),  # no PC bits
 }
 # SHA-256 of result_digest() per code/decoder/schedule/input. They pin the
 # exact output bytes (posteriors, extrinsics, per-iteration decisions), so a
@@ -593,6 +595,10 @@ GOLDEN_DIGESTS = {
     "1024-fc/sc/-/single": "77de0de489f550fa81c9aeef3dcccf53124a6da52354e4adf0dc6ab6c5f00489",
     "256-nr/sc/-/batch": "66bd6a860e2e9613c4e2f7338b60411075af7c57c3bfc3492d721e0591f8e39f",
     "256-nr/sc/-/single": "09ea97d0aea8d335c0c987512abbf81d978c4808c7d9e0b75047f260480f756c",
+    "128-mc/sc/-/batch": "3dddf6c43ed97dcc564595dbad4eefe5d71c4de313c3baa11e77753ae5f8c158",
+    "128-mc/sc/-/single": "6118188b51795df59c27493c16b5c604681711594fe94be08161c79d7d2af337",
+    "64-none/sc/-/batch": "994314300b3380b4b159ae8d26b4014e4b14b8459f2d75713438ef256d1553c4",
+    "64-none/sc/-/single": "ac5907db33b2c0d793fb21183aeea3f154fa640828f63eb3dad0920cdf10002c",
     "64-fc-L1/pc-scan/sequential/batch": "e62604f4f004208077d40710d108d6d99247eeba3c63ed54e8cb51595a3fa969",
     "64-fc-L1/pc-scan/sequential/single": "f175ba83f1f1650f1464f0cbf3c0b089286cb79a346a3596000f0f972f6be735",
     "64-fc-L1/pc-scan/literal/batch": "18035961fa85095cee0ce58b8302e1a295fddf735f127b021953e4db09d1ca74",
@@ -846,17 +852,19 @@ def test_compiled_decode_equals_numpy_engine_across_frame_blocks(code):
     spec = GOLDEN_CODES[code]
     rm, pcs = build_code(spec)
     _, llr = noisy_llrs(spec, rm, pcs, max(BLOCK_BATCHES), 1.5, 31)
-    for schedule in ("sequential", "literal"):
-        for name in ("scan", "pc-scan", "pc-scan-damped", "csr-scan"):
-            dec = golden_decoder(code, name, schedule)
-            with numpy_engine():
-                ref = golden_decoder(code, name, schedule)
-            # numpy decodes each frame on its own, so its first B rows are
-            # its decode of the first B frames (and one decode costs less)
-            want = ref.decode(llr, 2)
-            for B in BLOCK_BATCHES:
-                got = dec.decode(llr[:B], 2)
-                assert result_digest(got) == result_digest(first_rows(want, B)), (name, schedule, B)
+    scan_family = ("scan", "pc-scan", "pc-scan-damped", "csr-scan")
+    builds = [("sc", "-")] + [(name, s) for s in ("sequential", "literal") for name in scan_family]
+    for name, schedule in builds:
+        t_max = 1 if name == "sc" else 2
+        dec = golden_decoder(code, name, schedule)
+        with numpy_engine():
+            ref = golden_decoder(code, name, schedule)
+        # numpy decodes each frame on its own, so its first B rows are
+        # its decode of the first B frames (and one decode costs less)
+        want = ref.decode(llr, t_max)
+        for B in BLOCK_BATCHES:
+            got = dec.decode(llr[:B], t_max)
+            assert result_digest(got) == result_digest(first_rows(want, B)), (name, schedule, B)
 
 
 @needs_compiled
@@ -914,16 +922,16 @@ changed = []
 for code, spec in t.GOLDEN_CODES.items():
     rm, pcs = t.build_code(spec)
     _, llr = t.noisy_llrs(spec, rm, pcs, 300, 1.5, 7)
-    for kind in ("pc-scan", "csr-scan"):
-        for schedule in ("sequential", "literal"):
-            dec = DecoderConfig(kind, 2, schedule=schedule)
-            for frames in (llr, llr[0], llr[: t.FRAME_BLOCK + 1]):
-                digests = set()
-                for lib in libs:
-                    treepass.load = lambda: lib
-                    digests.add(t.result_digest(make_decoder(rm, pcs, dec).decode(frames, 2)))
-                if len(digests) != 1:
-                    changed.append((code, kind, schedule, frames.shape))
+    kinds = [("sc", "sequential")] + [(k, s) for k in ("pc-scan", "csr-scan") for s in ("sequential", "literal")]
+    for kind, schedule in kinds:
+        dec = DecoderConfig(kind, 2, schedule=schedule)
+        for frames in (llr, llr[0], llr[: t.FRAME_BLOCK + 1]):
+            digests = set()
+            for lib in libs:
+                treepass.load = lambda: lib
+                digests.add(t.result_digest(make_decoder(rm, pcs, dec).decode(frames, dec.iterations)))
+            if len(digests) != 1:
+                changed.append((code, kind, schedule, frames.shape))
 print(changed)
 sys.exit(bool(changed))
 """
@@ -963,12 +971,12 @@ def fresh_loader(tmp_path, monkeypatch):
     treepass.load.cache_clear()
 
 
-FALLBACK_KEYS = [k for k in GOLDEN_DIGESTS if k.startswith("64-fc/") and "/sc/" not in k]
+FALLBACK_KEYS = [k for k in GOLDEN_DIGESTS if k.startswith("64-fc/")]
 
 
 def assert_numpy_fallback():
     pc_code, plain_code = build_code(GOLDEN_CODES["64-fc"]), build_code(CodeSpec(N=64, K=32))
-    for kind, code in (("scan", plain_code), ("pc-scan", pc_code), ("csr-scan", pc_code)):
+    for kind, code in (("sc", pc_code), ("scan", plain_code), ("pc-scan", pc_code), ("csr-scan", pc_code)):
         assert make_decoder(*code, DecoderConfig(kind=kind, t_max=3)).engine == "numpy"
     assert not changed_golden_digests(FALLBACK_KEYS)
 
