@@ -5,7 +5,11 @@ Frame f of a simulation draws its K message bits
 `frame_rng(master_seed, f)`, so a result depends only on (master seed,
 frame index), never on worker count or trial order. `frame_batch` makes
 the frames of a whole chunk in one pass, bitwise equal to that per-frame
-loop.
+loop. The simulator's compiled frame chunk (framechunk.c, see
+`sim.chunk_llrs`) makes the same frames from the same `seed_words` and
+numpy's own normal sampler, and goes on to encode them and form their
+LLRs; `frame_batch`, `modulate_bpsk` and `channel_llrs` are its
+reference and its fallback.
 """
 
 from __future__ import annotations

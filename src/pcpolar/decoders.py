@@ -251,7 +251,9 @@ class _ScanFamilyDecoder:
         if self._lib is not None:
             K = len(self._info_pos)
             decisions = np.empty((t_max, B, K), dtype=np.uint8)
-            leaf_post, extr = np.empty((B, self.N)), np.empty((B, self.N))
+            leaf_post = np.empty((B, self.N))
+            # SC's coded extrinsics are all zero, and the pass does not write them
+            extr = np.zeros((B, self.N)) if self._hard else np.empty((B, self.N))
             failed = self._lib.scan_decode(
                 self.n, B, t_max, self._sequential, self._hard, root, self._rate0, self._kind, self.L,
                 lam_p, lam_i, self._info_pos, K, decisions, leaf_post, extr,
@@ -272,14 +274,14 @@ class _ScanFamilyDecoder:
             self._traverse(self.n, 0)
             snapshots.append(self._hard_info())
         leaf_post = np.ascontiguousarray((self._alpha[0] + self._beta[0]).T)
-        extr = np.ascontiguousarray(self._beta[self.n].T)
+        extr = np.zeros((B, self.N)) if self._hard else np.ascontiguousarray(self._beta[self.n].T)
         # the buffers are per decode; an idle decoder should not hold them
         self._alpha = self._beta = self._reg = self._cache = self._tmp = None
         return self._result(snapshots, leaf_post, extr, root, single)
 
     def _result(self, snapshots, leaf_post, extr, root, single) -> DecodeResult:
-        if self._hard:  # SC's contract: no coded extrinsics, the channel LLRs as coded posteriors
-            return _shaped_result(snapshots, leaf_post, np.zeros_like(extr), root, single)
+        if self._hard:  # SC's contract: the channel LLRs as coded posteriors
+            return _shaped_result(snapshots, leaf_post, extr, root, single)
         return _shaped_result(snapshots, leaf_post, extr, root + extr, single)
 
     def _hard_info(self) -> np.ndarray:
@@ -310,6 +312,8 @@ class _ScanFamilyDecoder:
         if not self._sequential:
             self._traverse(s - 1, base)
         self._traverse(s - 1, mid)
+        if self._hard and s == self.n:  # SC outputs no coded extrinsics: the root's beta goes unread
+            return
         # beta_lo = f(b_lo, a_hi + b_hi); beta_hi = f(b_lo, a_lo) + b_hi
         f_pair(b_lo, np.add(a_hi, b_hi, out=tmp), out=beta[base:mid])
         f_pair(b_lo, a_lo, out=beta[mid:end])

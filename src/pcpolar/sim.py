@@ -3,12 +3,17 @@
 Frames are processed in fixed-size chunks; each frame's message and noise
 derive only from (master_seed, frame_index), and the early-stopping rule
 is evaluated at chunk boundaries in frame order, so results are bitwise
-reproducible for any worker count. SCAN-family decoders report
+reproducible for any worker count. A chunk's messages and channel LLRs
+come from one call into the compiled frame chunk, or else from the numpy
+chain it is bitwise equal to (`chunk_llrs`). SCAN-family decoders report
 statistics for every iteration 1..t_max out of a single decoding pass.
+A SimConfig checks that each SNR point gives a positive finite noise
+sigma when it is built, so no chunk meets a bad one.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -19,8 +24,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .channel import channel_llrs, ebn0_to_sigma, frame_batch, modulate_bpsk
-from .construction import CodeSpec, build_code
+from . import treepass
+from .channel import LLR_MAX, channel_llrs, ebn0_to_sigma, frame_batch, modulate_bpsk, seed_words
+from .construction import PC, CodeSpec, build_code
 # DECODER_KINDS and DecoderConfig stay importable from this module too
 from .decoders import DECODER_KINDS, DecoderConfig, make_decoder
 from .encoder import encode
@@ -41,6 +47,16 @@ class SimConfig:
     def __post_init__(self):
         if not self.snr_points:
             raise ValueError("snr_points must be non-empty")
+        if not all(math.isfinite(snr) for snr in self.snr_points):
+            raise ValueError(f"snr_points must be finite, got {self.snr_points}")
+        for snr in () if self.noiseless else self.snr_points:
+            # every chunk computes its sigma the same way; check it once here
+            try:
+                sigma = ebn0_to_sigma(float(snr), self.spec.rate)
+            except (OverflowError, ZeroDivisionError):
+                sigma = 0.0
+            if not 0 < sigma < math.inf:
+                raise ValueError(f"snr {snr} dB gives no positive finite noise sigma")
         if self.max_frames < 1:
             raise ValueError("max_frames must be >= 1")
         if self.min_frame_errors < 1:
@@ -127,19 +143,42 @@ def _code_and_decoder(spec: CodeSpec, dec: DecoderConfig):
     return rolemap, pcs, make_decoder(rolemap, pcs, dec)
 
 
+def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int, rolemap, pcs) -> tuple[np.ndarray, np.ndarray]:
+    """Messages (B, K) uint8 and channel LLRs (B, N) of frames [lo, hi).
+
+    One call into the compiled frame chunk (framechunk.c) makes them,
+    bitwise as the numpy chain `frame_batch` -> `encode` -> `modulate_bpsk`
+    -> `channel_llrs` does. That chain runs where the library cannot be
+    built or loaded, and for a master seed or frame index of 2**32 or
+    more, whose seeding the compiled call does not cover.
+    """
+    spec = config.spec
+    sigma = 0.0 if config.noiseless else ebn0_to_sigma(snr_db, spec.rate)
+    lib = treepass.load_frames()
+    if lib is None or config.master_seed >> 32 or hi > 1 << 32:
+        msgs, noise = frame_batch(config.master_seed, lo, hi, spec.K, spec.N)
+        sym = modulate_bpsk(encode(msgs, spec, rolemap, pcs))
+        if config.noiseless:
+            return msgs, channel_llrs(sym, 0.0, noiseless=True)
+        return msgs, channel_llrs(sym + sigma * noise, sigma)
+    words = seed_words(config.master_seed, np.arange(lo, hi, dtype=np.uint32))
+    msgs = np.empty((hi - lo, spec.K), dtype=np.uint8)
+    llr = np.empty((hi - lo, spec.N))
+    info = np.ascontiguousarray(rolemap.info_positions, dtype=np.int64)
+    pc = (rolemap.role == PC).astype(np.uint8)
+    failed = lib.frame_chunk(
+        hi - lo, spec.N, spec.K, pcs.L, words, info, pc, config.noiseless, sigma, LLR_MAX, msgs, llr
+    )
+    if failed:
+        raise MemoryError("cannot allocate the compiled frame chunk's scratch buffer")
+    return msgs, llr
+
+
 def _simulate_chunk(config: SimConfig, snr_db: float, lo: int, hi: int):
     """Counters for frames [lo, hi): (frames, per-iteration (ferr, berr), seconds)."""
     t0 = time.perf_counter()
-    spec = config.spec
-    rolemap, pcs, decoder = _code_and_decoder(spec, config.decoder)
-    msgs, noise = frame_batch(config.master_seed, lo, hi, spec.K, spec.N)
-    x = encode(msgs, spec, rolemap, pcs)
-    sym = modulate_bpsk(x)
-    if config.noiseless:
-        llr = channel_llrs(sym, 0.0, noiseless=True)
-    else:
-        sigma = ebn0_to_sigma(snr_db, spec.rate)
-        llr = channel_llrs(sym + sigma * noise, sigma)
+    rolemap, pcs, decoder = _code_and_decoder(config.spec, config.decoder)
+    msgs, llr = chunk_llrs(config, snr_db, lo, hi, rolemap, pcs)
     res = decoder.decode(llr, config.decoder.iterations)
     per_iter = []
     for bits in res.iteration_info_bits:

@@ -135,6 +135,8 @@ static void traverse(const pass_t *p, int s, int64_t base)
     if (!p->sequential)
         traverse(p, s - 1, base);
     traverse(p, s - 1, base + len / 2);
+    if (p->hard && len == p->N) /* SC outputs no coded extrinsics: the root's beta goes unread */
+        return;
     /* beta_lo = f(b_lo, a_hi + b_hi); beta_hi = f(b_lo, a_lo) + b_hi */
     f_of_sum(beta + lo, b_lo, a_hi, b_hi, half);
     f_plus(beta + hi, b_lo, a_lo, b_hi, half);
@@ -145,7 +147,8 @@ static void traverse(const pass_t *p, int s, int64_t base)
  * hard makes an info leaf feed back its decision as +-inf: one sequential
  * pass of it with lam_p 1 and lam_i 0 is SC, whose alpha_r is a_hi +- a_lo.
  * Writes decisions (t_max, B, K), the leaf posteriors alpha[0] + beta[0]
- * and the coded extrinsics beta[n], both (B, N). Returns 0, or -1 if the
+ * and, unless hard, the coded extrinsics beta[n], both (B, N); with hard it
+ * neither computes nor writes beta[n]. Returns 0, or -1 if the
  * scratch buffers cannot be allocated. */
 int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int hard, const double *root,
                 const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam_p,
@@ -192,10 +195,12 @@ int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int hard, c
             }
         }
         for (int64_t i = 0; i < N; i++)
-            for (int64_t b = 0; b < nb; b++) {
+            for (int64_t b = 0; b < nb; b++)
                 post[(f0 + b) * N + i] = alpha0[i * nb + b] + beta0[i * nb + b];
-                extr[(f0 + b) * N + i] = beta_root[i * nb + b];
-            }
+        if (!hard)
+            for (int64_t i = 0; i < N; i++)
+                for (int64_t b = 0; b < nb; b++)
+                    extr[(f0 + b) * N + i] = beta_root[i * nb + b];
     }
     free(scratch);
     return 0;

@@ -1,5 +1,11 @@
+import functools
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcpolar.channel import frame_batch
-from pcpolar.construction import CodeSpec
+from pcpolar.construction import CodeSpec, build_code
 from pcpolar.decoders import DampingConfig
-from pcpolar import sim
+from pcpolar import sim, treepass
 from pcpolar.sim import DecoderConfig, SimConfig, run_cell, sweep, wilson_interval
 
 
@@ -69,6 +75,16 @@ def test_sim_config_validation():
     with pytest.raises(ValueError, match="master_seed"):
         small_config(master_seed=-1)
     small_config(master_seed=0)
+    # every SNR must give a noise sigma before any chunk runs
+    for snr in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            small_config(snr_points=(2.0, snr))
+        with pytest.raises(ValueError, match="finite"):
+            small_config(snr_points=(snr,), noiseless=True)
+    for snr in (-3300.0, -3100.0, 3090.0, 6000.0):  # sigma 0, inf, or beyond float range
+        with pytest.raises(ValueError, match="sigma"):
+            small_config(snr_points=(snr,))
+    small_config(snr_points=(6000.0,), noiseless=True)  # a noiseless sweep has no sigma
     with pytest.raises(ValueError):
         DecoderConfig(kind="magic")
     # the schedule is checked for every kind, also for SC, which has none
@@ -294,3 +310,154 @@ def test_seeded_sweep_counts_golden(kind):
     )
     cells = sweep(cfg).cells
     assert [(c.snr_db, c.iteration, c.frames, c.frame_errors, c.bit_errors) for c in cells] == SWEEP_COUNTS[kind]
+
+
+# ---------------------------------------------------------------------------
+# compiled frame chunk: bitwise the numpy chain, and that chain as its fallback
+
+needs_frames = pytest.mark.skipif(treepass.load_frames() is None, reason="no compiled frame chunk on this platform")
+
+
+def numpy_chain():
+    """Inside this block, chunks are made by the numpy chain."""
+    return mock.patch.object(treepass, "load_frames", lambda: None)
+
+
+CHUNK_CODES = {(5, 8): 0.5, (32, 64): 0.5, (512, 1024): 0.5}
+
+
+def chunk_bytes(spec, seed, noiseless, lo, hi):
+    cfg = SimConfig(spec, DecoderConfig(), (1.5,), master_seed=seed, noiseless=noiseless)
+    msgs, llr = sim.chunk_llrs(cfg, 1.5, lo, hi, *build_code(spec))
+    assert msgs.dtype == np.uint8 and msgs.shape == (hi - lo, spec.K)
+    assert llr.dtype == np.float64 and llr.shape == (hi - lo, spec.N)
+    return msgs.tobytes(), llr.tobytes()
+
+
+@needs_frames
+@pytest.mark.parametrize("noiseless", [False, True])
+@pytest.mark.parametrize("code", list(CHUNK_CODES))
+@pytest.mark.parametrize("scheme", ["fc", "mc", "nr", "none"])
+@pytest.mark.parametrize("seed", [0, 1, 501, 2**32 - 1])
+def test_compiled_chunk_equals_numpy_chain(seed, scheme, code, noiseless):
+    K, N = code
+    spec = CodeSpec(N=N, K=K, scheme=scheme, A=CHUNK_CODES[code])
+    # a chunk, single frames, and the last frame below 2**32
+    for lo, hi in ((7, 307), (7, 8), (1006, 1007), (2**32 - 2, 2**32)):
+        got = chunk_bytes(spec, seed, noiseless, lo, hi)
+        with numpy_chain():
+            assert got == chunk_bytes(spec, seed, noiseless, lo, hi), (lo, hi)
+
+
+class NoCall:
+    def frame_chunk(self, *args):
+        raise AssertionError("the compiled chunk was called")
+
+
+@pytest.mark.parametrize("seed, lo, hi", [(1, 2**32 - 3, 2**32 + 3), (2**32, 0, 5), (2**32 - 1, 2**32, 2**32 + 1)])
+def test_seeds_and_frames_past_32_bits_take_the_numpy_chain(seed, lo, hi):
+    spec = CodeSpec(N=16, K=7, scheme="fc", L=3)
+    with numpy_chain():
+        want = chunk_bytes(spec, seed, False, lo, hi)
+    with mock.patch.object(treepass, "load_frames", NoCall):
+        assert chunk_bytes(spec, seed, False, lo, hi) == want
+
+
+GOLDEN_SIM_TESTS = {
+    "workers": test_results_independent_of_workers,
+    **{f"sweep-{kind}": functools.partial(test_seeded_sweep_counts_golden, kind) for kind in SWEEP_COUNTS},
+    **{f"frames-{key}": functools.partial(test_frame_batch_golden_digest, key) for key in FRAME_DIGESTS},
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SIM_TESTS))
+def test_golden_sim_tests_hold_on_the_numpy_chain(name):
+    with numpy_chain():
+        GOLDEN_SIM_TESTS[name]()
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
+def test_frame_chunk_source_compiles_without_warnings():
+    cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-I", np.get_include(), str(treepass.FRAME_SOURCE)]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+# run with the sanitized library as argv[1]: chunks past 256 frames, single
+# frames and noiseless ones, each against the plain build's
+SANITIZED_CHUNKS = """
+import sys
+from unittest import mock
+from pcpolar import treepass
+import test_sim as t
+
+libs = (treepass.load_frames(), treepass.open_frame_library(sys.argv[1]))
+changed = []
+for (K, N), A in t.CHUNK_CODES.items():
+    for scheme in ("fc", "mc", "nr", "none"):
+        spec = t.CodeSpec(N=N, K=K, scheme=scheme, A=A)
+        for noiseless in (False, True):
+            for lo, hi in ((3, 303), (2**32 - 1, 2**32)):
+                outs = set()
+                for lib in libs:
+                    with mock.patch.object(treepass, "load_frames", lambda: lib):
+                        outs.add(t.chunk_bytes(spec, 501, noiseless, lo, hi))
+                if len(outs) != 1:
+                    changed.append((K, N, scheme, noiseless, lo))
+print(changed)
+sys.exit(bool(changed))
+"""
+
+
+@needs_frames
+def test_sanitized_frame_chunk_equals_the_plain_build(tmp_path):
+    """framechunk.c under ASan and UBSan: no invalid access, no undefined
+    behaviour, and the same bits as the plain build."""
+    asan = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(asan):
+        pytest.skip("gcc has no libasan")
+    lib = tmp_path / "framechunk-sanitized.so"
+    flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-ffp-contract=off"]
+    cmd = ["gcc", *flags, "-shared", "-fPIC", "-I", np.get_include(), str(treepass.FRAME_SOURCE)]
+    cmd += [str(treepass.numpy_random_archive()), "-lm", "-o", str(lib)]
+    subprocess.run(cmd, check=True, capture_output=True, timeout=300)
+    src = os.path.dirname(os.path.dirname(treepass.__file__))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)]),
+        "LD_PRELOAD": asan,
+        "ASAN_OPTIONS": "detect_leaks=0",
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", SANITIZED_CHUNKS, str(lib)], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stdout + done.stderr[-3000:]
+
+
+@needs_frames
+def test_frame_library_key_covers_numpy_and_its_archive(tmp_path):
+    archive = tmp_path / "libnpyrandom.a"
+    archive.write_bytes(treepass.numpy_random_archive().read_bytes())
+    source = treepass.FRAME_SOURCE.read_bytes()
+    flags = (*treepass.FLAGS, "-I", np.get_include())
+    key = treepass.cache_key(source, flags, (archive,), np.__version__)
+    built = [p.name for p in treepass.cache_dir().glob("framechunk-*.so")]
+    assert f"framechunk-{key}.so" in built  # the loaded build is the archive's
+    assert treepass.cache_key(source, flags, (archive,), "0.0") != key
+    data = bytearray(archive.read_bytes())
+    data[-1] ^= 1
+    archive.write_bytes(bytes(data))
+    assert treepass.cache_key(source, flags, (archive,), np.__version__) != key
+
+
+def test_missing_archive_falls_back_to_the_numpy_chain(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(treepass, "numpy_random_archive", lambda: tmp_path / "missing.a")
+    treepass.load_frames.cache_clear()
+    try:
+        assert treepass.load_frames() is None
+        for kind in SWEEP_COUNTS:
+            test_seeded_sweep_counts_golden(kind)
+        assert not list((tmp_path / "cache").rglob("framechunk-*"))
+    finally:
+        treepass.load_frames.cache_clear()
