@@ -2,12 +2,12 @@
  * form of channel.frame_batch, encoder.encode, channel.modulate_bpsk and
  * channel.channel_llrs, bitwise equal to that numpy chain.
  *
- * Frame b's generator is numpy's PCG64 (128-bit LCG, XSL-RR output) seeded
- * from its four channel.seed_words: inc = (w2, w3) << 1 | 1 and state =
- * ((w0, w1) + inc) * mult + inc, mod 2^128. Its K message bits are bit 7 of
- * each little-endian byte of ceil(K/8) raw words, and its N unit normals
- * come from numpy's own ziggurat, random_standard_normal_fill in
- * libnpyrandom.a, drawn through a bitgen_t over that generator. Build with
+ * Frame f's generator is channel.frame_rng(master_seed, f): numpy's PCG64
+ * (128-bit LCG, XSL-RR output) seeded from SeedSequence((master_seed, f)),
+ * whose hash seed_state runs in full. Its K message bits are bit 7 of each
+ * little-endian byte of ceil(K/8) raw words, and its N unit normals come
+ * from numpy's own ziggurat, random_standard_normal_fill in libnpyrandom.a,
+ * drawn through a bitgen_t over that generator. Build with
  * -ffp-contract=off, so that sym + sigma * noise rounds as numpy's does.
  */
 #include <numpy/random/bitgen.h>
@@ -19,6 +19,52 @@ void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *o
 typedef unsigned __int128 u128;
 
 #define PCG_MULT ((u128)0x2360ED051FC65DA4 << 64 | 0x4385DF649FCCF645)
+/* SeedSequence's hash constants */
+static const uint32_t INIT_A = 0x43B0D7E5, MULT_A = 0x931E8875, INIT_B = 0x8B51F9DD, MULT_B = 0x58F38DED;
+static const uint32_t MIX_MULT_L = 0xCA01F9DD, MIX_MULT_R = 0x4973F715;
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const, uint32_t mult)
+{
+    value ^= *hash_const;
+    *hash_const *= mult;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = MIX_MULT_L * x - MIX_MULT_R * y;
+    return r ^ r >> 16;
+}
+
+/* Entropy word i of (master seed, f): the seed's nseed words, then f's */
+static uint32_t entropy(const uint32_t *seed, int64_t nseed, uint64_t f, int64_t i)
+{
+    return i < nseed ? seed[i] : (uint32_t)(f >> 32 * (i - nseed));
+}
+
+/* SeedSequence((master seed, f)).generate_state(4, uint64) into w, as numpy's
+ * mix_entropy and generate_state compute it: f has one entropy word below
+ * 2^32 and two above, and words past the pool of 4 are mixed in last */
+static void seed_state(const uint32_t *seed, int64_t nseed, uint64_t f, uint64_t *w)
+{
+    int64_t n = nseed + 1 + (f >> 32 != 0);
+    uint32_t pool[4], h = INIT_A;
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n ? entropy(seed, nseed, f, i) : 0, &h, MULT_A);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h, MULT_A));
+    for (int64_t src = 4; src < n; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy(seed, nseed, f, src), &h, MULT_A));
+    h = INIT_B;
+    for (int i = 0; i < 4; i++) {
+        uint64_t low = hashmix(pool[2 * i % 4], &h, MULT_B);
+        w[i] = low | (uint64_t)hashmix(pool[(2 * i + 1) % 4], &h, MULT_B) << 32;
+    }
+}
 
 typedef struct {
     u128 state, inc;
@@ -38,13 +84,16 @@ static double pcg64_next_double(void *st)
     return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Frames from their seed words (B, 4): messages (B, K) and channel LLRs
- * (B, N). info holds the K info positions, pc flags the PC positions and L
+/* Frames lo, ..., lo + B - 1 of the master seed whose nseed >= 1
+ * little-endian uint32 words are seed: messages (B, K) and channel LLRs
+ * (B, N). Frame f's entropy is those words, then f's: one below 2^32, two
+ * above. info holds the K info positions, pc flags the PC positions and L
  * is the register length. Noiseless frames get +-llr_max and draw no noise;
  * the others get 2 * (1 - 2x + sigma * noise) / sigma^2, in numpy's order.
  * Returns 0, or -1 if the scratch buffer cannot be allocated. */
-int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint64_t *words, const int64_t *info,
-                const uint8_t *pc, int noiseless, double sigma, double llr_max, uint8_t *msgs, double *llrs)
+int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint32_t *seed, int64_t nseed, int64_t lo,
+                const int64_t *info, const uint8_t *pc, int noiseless, double sigma, double llr_max, uint8_t *msgs,
+                double *llrs)
 {
     int64_t nraw = (K + 7) / 8;
     /* the raw words, then the codeword, then the chain registers */
@@ -56,7 +105,8 @@ int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint64_t *word
     bitgen_t bitgen = {.state = &g, .next_uint64 = pcg64_next64, .next_double = pcg64_next_double,
                        .next_raw = pcg64_next64}; /* the normal sampler draws no 32-bit words */
     for (int64_t b = 0; b < B; b++) {
-        const uint64_t *w = words + 4 * b;
+        uint64_t w[4];
+        seed_state(seed, nseed, (uint64_t)lo + b, w);
         uint8_t *m = msgs + b * K;
         double *llr = llrs + b * N;
         g.inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;

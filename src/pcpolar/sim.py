@@ -25,7 +25,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import treepass
-from .channel import LLR_MAX, channel_llrs, ebn0_to_sigma, frame_batch, modulate_bpsk, seed_words
+from .channel import LLR_MAX, channel_llrs, ebn0_to_sigma, frame_batch, modulate_bpsk
 from .construction import PC, CodeSpec, build_code
 # DECODER_KINDS and DecoderConfig stay importable from this module too
 from .decoders import DECODER_KINDS, DecoderConfig, make_decoder
@@ -57,8 +57,9 @@ class SimConfig:
                 sigma = 0.0
             if not 0 < sigma < math.inf:
                 raise ValueError(f"snr {snr} dB gives no positive finite noise sigma")
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be >= 1")
+        # every frame index must fit the compiled frame chunk's int64
+        if not 1 <= self.max_frames <= 2**63:
+            raise ValueError(f"max_frames must be in [1, 2**63], got {self.max_frames}")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be >= 1")
         if self.master_seed < 0:
@@ -148,26 +149,30 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int, rolemap, pcs)
 
     One call into the compiled frame chunk (framechunk.c) makes them,
     bitwise as the numpy chain `frame_batch` -> `encode` -> `modulate_bpsk`
-    -> `channel_llrs` does. That chain runs where the library cannot be
-    built or loaded, and for a master seed or frame index of 2**32 or
-    more, whose seeding the compiled call does not cover.
+    -> `channel_llrs` does, for any master seed and frame index. That
+    chain runs where the library cannot be built or loaded.
     """
     spec = config.spec
     sigma = 0.0 if config.noiseless else ebn0_to_sigma(snr_db, spec.rate)
     lib = treepass.load_frames()
-    if lib is None or config.master_seed >> 32 or hi > 1 << 32:
+    if lib is None:
         msgs, noise = frame_batch(config.master_seed, lo, hi, spec.K, spec.N)
         sym = modulate_bpsk(encode(msgs, spec, rolemap, pcs))
         if config.noiseless:
             return msgs, channel_llrs(sym, 0.0, noiseless=True)
         return msgs, channel_llrs(sym + sigma * noise, sigma)
-    words = seed_words(config.master_seed, np.arange(lo, hi, dtype=np.uint32))
+    # the master seed's little-endian uint32 words, as SeedSequence splits it
+    seed, words = config.master_seed, []
+    while seed or not words:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
     msgs = np.empty((hi - lo, spec.K), dtype=np.uint8)
     llr = np.empty((hi - lo, spec.N))
     info = np.ascontiguousarray(rolemap.info_positions, dtype=np.int64)
     pc = (rolemap.role == PC).astype(np.uint8)
     failed = lib.frame_chunk(
-        hi - lo, spec.N, spec.K, pcs.L, words, info, pc, config.noiseless, sigma, LLR_MAX, msgs, llr
+        hi - lo, spec.N, spec.K, pcs.L, np.array(words, dtype=np.uint32), len(words), lo, info, pc,
+        config.noiseless, sigma, LLR_MAX, msgs, llr,
     )
     if failed:
         raise MemoryError("cannot allocate the compiled frame chunk's scratch buffer")
@@ -196,7 +201,7 @@ def _chunk_results(config: SimConfig, snr_db: float):
     chunks are still in flight; any the pool has not started are cancelled.
     """
     step = config.batch_frames
-    bounds = [(lo, min(lo + step, config.max_frames)) for lo in range(0, config.max_frames, step)]
+    bounds = ((lo, min(lo + step, config.max_frames)) for lo in range(0, config.max_frames, step))
     if config.workers == 1:
         for lo, hi in bounds:
             yield _simulate_chunk(config, snr_db, lo, hi)

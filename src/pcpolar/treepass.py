@@ -149,10 +149,11 @@ def open_frame_library(path: Path):
 
     i64 = ctypes.c_int64
     lib = ctypes.CDLL(str(path))
-    # B, N, K, L, seed words (B, 4), info positions (K,), PC flags (N,), noiseless,
+    # B, N, K, L, the master seed's little-endian uint32 words and their count,
+    # the first frame index, info positions (K,), PC flags (N,), noiseless,
     # sigma, LLR_MAX, messages (B, K), LLRs (B, N)
     lib.frame_chunk.argtypes = [
-        i64, i64, i64, i64, array(np.uint64), array(np.int64), array(np.uint8), ctypes.c_int,
+        i64, i64, i64, i64, array(np.uint32), i64, i64, array(np.int64), array(np.uint8), ctypes.c_int,
         ctypes.c_double, ctypes.c_double, array(np.uint8), array(np.float64),
     ]
     lib.frame_chunk.restype = ctypes.c_int  # 0, or -1 when out of memory

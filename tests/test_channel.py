@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from pcpolar.channel import (
     LLR_MAX,
@@ -11,7 +9,6 @@ from pcpolar.channel import (
     frame_batch,
     frame_rng,
     modulate_bpsk,
-    seed_words,
 )
 
 
@@ -80,20 +77,6 @@ def test_frame_rng_is_deterministic_per_frame():
     assert not np.array_equal(a, d)
 
 
-WORD = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=WORD, frames=st.lists(WORD, min_size=1, max_size=8))
-@example(seed=0, frames=[0, 2**32 - 1])
-@example(seed=2**32 - 1, frames=[2**32 - 1, 0])
-def test_seed_words_equal_seed_sequence(seed, frames):
-    words = seed_words(seed, np.array(frames, dtype=np.uint32))
-    expected = [np.random.SeedSequence((seed, f)).generate_state(4, np.uint64) for f in frames]
-    assert words.dtype == np.uint64
-    assert np.array_equal(words, expected)
-
-
 def frame_rng_loop(seed, lo, hi, K, N):
     msgs = np.empty((hi - lo, K), dtype=np.uint8)
     noise = np.empty((hi - lo, N))
@@ -108,7 +91,7 @@ def frame_rng_loop(seed, lo, hi, K, N):
 @pytest.mark.parametrize("seed", [0, 1, 501, 2**32 - 1, 2**32])
 def test_frame_batch_equals_frame_rng_loop(K, seed):
     N = 2 * K + 3
-    # the last range crosses frame 2**32, where the chunk takes the frame_rng loop
+    # the last two ranges end at and cross frame 2**32, where a frame's entropy gains a word
     for lo, hi in ((0, 20), (7000, 7013), (2**32 - 20, 2**32), (2**32 - 10, 2**32 + 10)):
         msgs, noise = frame_batch(seed, lo, hi, K, N)
         ref_msgs, ref_noise = frame_rng_loop(seed, lo, hi, K, N)

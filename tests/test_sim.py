@@ -4,12 +4,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcpolar.channel import frame_batch
@@ -70,6 +71,10 @@ def test_sim_config_validation():
         small_config(snr_points=())
     with pytest.raises(ValueError):
         small_config(max_frames=0)
+    # every frame index must fit the compiled chunk's int64 argument
+    with pytest.raises(ValueError, match="max_frames"):
+        small_config(max_frames=2**63 + 1)
+    small_config(max_frames=2**63)
     with pytest.raises(ValueError):
         small_config(workers=0)
     with pytest.raises(ValueError, match="master_seed"):
@@ -165,6 +170,20 @@ def test_early_stop_at_chunk_boundary():
     assert cells[-1].frame_errors >= 20
     assert cells[-1].frames < 100_000
     assert cells[-1].frames % 50 == 0
+
+
+def test_chunk_bounds_are_made_as_the_chunks_run():
+    # a run that stops after its first chunk must not first list every chunk's bounds
+    cfg = small_config(snr_points=(-2.0,), max_frames=10**8, min_frame_errors=1, batch_frames=1000)
+    run_cell(cfg, -2.0)  # build the code, the decoder and the libraries outside the trace
+    tracemalloc.start()
+    try:
+        cells = run_cell(cfg, -2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells[-1].frames == 1000
+    assert peak < 4 * 2**20  # the 10**5 bounds of a list take about 12 MB
 
 
 def early_stop_config(**kw):
@@ -338,29 +357,53 @@ def chunk_bytes(spec, seed, noiseless, lo, hi):
 @pytest.mark.parametrize("noiseless", [False, True])
 @pytest.mark.parametrize("code", list(CHUNK_CODES))
 @pytest.mark.parametrize("scheme", ["fc", "mc", "nr", "none"])
-@pytest.mark.parametrize("seed", [0, 1, 501, 2**32 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 501, 2**32 - 1, 2**32, 2**64 + 3])
 def test_compiled_chunk_equals_numpy_chain(seed, scheme, code, noiseless):
     K, N = code
     spec = CodeSpec(N=N, K=K, scheme=scheme, A=CHUNK_CODES[code])
-    # a chunk, single frames, and the last frame below 2**32
-    for lo, hi in ((7, 307), (7, 8), (1006, 1007), (2**32 - 2, 2**32)):
+    # a chunk, single frames, frames across 2**32 and the last frames below 2**63
+    for lo, hi in ((7, 307), (7, 8), (1006, 1007), (2**32 - 2, 2**32 + 2), (2**63 - 3, 2**63)):
         got = chunk_bytes(spec, seed, noiseless, lo, hi)
         with numpy_chain():
             assert got == chunk_bytes(spec, seed, noiseless, lo, hi), (lo, hi)
 
 
-class NoCall:
-    def frame_chunk(self, *args):
-        raise AssertionError("the compiled chunk was called")
-
-
+@needs_frames
 @pytest.mark.parametrize("seed, lo, hi", [(1, 2**32 - 3, 2**32 + 3), (2**32, 0, 5), (2**32 - 1, 2**32, 2**32 + 1)])
-def test_seeds_and_frames_past_32_bits_take_the_numpy_chain(seed, lo, hi):
+def test_seeds_and_frames_past_32_bits_take_the_compiled_chunk(seed, lo, hi):
     spec = CodeSpec(N=16, K=7, scheme="fc", L=3)
     with numpy_chain():
         want = chunk_bytes(spec, seed, False, lo, hi)
-    with mock.patch.object(treepass, "load_frames", NoCall):
+    lib = mock.Mock(wraps=treepass.load_frames())
+    with mock.patch.object(treepass, "load_frames", lambda: lib):
         assert chunk_bytes(spec, seed, False, lo, hi) == want
+    assert lib.frame_chunk.call_count == 1
+
+
+# frame indices near 0, near and past 2**32, where a frame's entropy gains a
+# word, and near the last one the simulator can reach
+FRAME_BASES = [0, 2**32, 2**40, 2**63]
+
+
+@needs_frames
+@settings(max_examples=100, deadline=None)
+@given(
+    # a seed of 2**96 or more spans four words, so with its frame's the
+    # entropy outgrows SeedSequence's pool and takes its extra mixing loop
+    seed=st.one_of(st.integers(min_value=0, max_value=2**100), st.integers(min_value=2**96, max_value=2**100)),
+    base=st.sampled_from(FRAME_BASES),
+    offset=st.integers(min_value=-5, max_value=4),
+    count=st.integers(min_value=1, max_value=5),
+)
+@example(seed=0, base=0, offset=0, count=5)
+@example(seed=2**96, base=0, offset=0, count=1)
+@example(seed=2**100, base=2**63, offset=-1, count=1)
+def test_compiled_chunk_equals_frame_rng_chain_for_any_seed_and_frame(seed, base, offset, count):
+    lo = min(max(base + offset, 0), 2**63 - count)
+    spec = CodeSpec(N=16, K=7, scheme="fc", L=3)
+    got = chunk_bytes(spec, seed, False, lo, lo + count)
+    with numpy_chain():
+        assert got == chunk_bytes(spec, seed, False, lo, lo + count)
 
 
 GOLDEN_SIM_TESTS = {
@@ -384,7 +427,8 @@ def test_frame_chunk_source_compiles_without_warnings():
 
 
 # run with the sanitized library as argv[1]: chunks past 256 frames, single
-# frames and noiseless ones, each against the plain build's
+# frames, frames across 2**32, seeds of one, two and four words and
+# noiseless chunks, each against the plain build's
 SANITIZED_CHUNKS = """
 import sys
 from unittest import mock
@@ -397,13 +441,14 @@ for (K, N), A in t.CHUNK_CODES.items():
     for scheme in ("fc", "mc", "nr", "none"):
         spec = t.CodeSpec(N=N, K=K, scheme=scheme, A=A)
         for noiseless in (False, True):
-            for lo, hi in ((3, 303), (2**32 - 1, 2**32)):
+            for seed, lo, hi in ((501, 3, 303), (501, 2**32 - 1, 2**32), (2**32, 2**32 - 1, 2**32 + 1),
+                                 (2**100, 2**32 - 1, 2**32 + 1)):
                 outs = set()
                 for lib in libs:
                     with mock.patch.object(treepass, "load_frames", lambda: lib):
-                        outs.add(t.chunk_bytes(spec, 501, noiseless, lo, hi))
+                        outs.add(t.chunk_bytes(spec, seed, noiseless, lo, hi))
                 if len(outs) != 1:
-                    changed.append((K, N, scheme, noiseless, lo))
+                    changed.append((K, N, scheme, noiseless, seed, lo))
 print(changed)
 sys.exit(bool(changed))
 """
