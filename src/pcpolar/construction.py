@@ -173,10 +173,6 @@ class PcStructure:
     checked_info: tuple[int, ...] = field(default=())
     unchecked_info: tuple[int, ...] = field(default=())
 
-    @property
-    def info_positions(self) -> np.ndarray:
-        return np.sort(np.array(self.checked_info + self.unchecked_info, dtype=int))
-
 
 def pw_reliability(N: int) -> ReliabilitySequence:
     """Polarization-weight reliability sequence of length N.

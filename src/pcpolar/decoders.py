@@ -13,9 +13,9 @@ copy, leaving the caller's array as it was. Inputs within +-LLR_MAX (the
 channel's own saturation value) pass through unchanged.
 
 Decoders accept a single frame of shape (N,) or a batch (B, N); every
-array in the result mirrors the input's batch shape. A decoder instance
-owns its buffers and is single-threaded; independent instances may run
-concurrently.
+array in the result mirrors the input's batch shape. A decoder is not
+changed after it is built: every decode makes its own buffers, so one
+instance may decode from several threads at once.
 
 The engine stores its per-level alpha and beta messages (one (n+1, N, B)
 array each), its leaf alpha cache and its chain registers frame-minor, as
@@ -212,8 +212,8 @@ class _ScanFamilyDecoder:
     passes only: a later pass reads the alphas that earlier ones cached).
     A decode runs in one call into the compiled tree pass (`engine` "c"),
     block by block of frames in its own scratch memory, or else pass by
-    pass through `_traverse` over the whole batch (`engine` "numpy"); the
-    per-decode buffers live only as long as a decode call.
+    pass through `_traverse` over the whole batch (`engine` "numpy"). Either
+    way the buffers are the decode call's own, never the decoder's.
     """
 
     def __init__(
@@ -261,22 +261,19 @@ class _ScanFamilyDecoder:
             if failed:
                 raise MemoryError("cannot allocate the compiled tree pass's scratch buffers")
             return self._result(list(decisions), leaf_post, extr, root, single)
-        self._alpha = np.zeros((self.n + 1, self.N, B))
-        self._beta = np.zeros((self.n + 1, self.N, B))
-        self._alpha[self.n] = root.T
-        self._reg = np.empty((self.L, B))
-        self._cache = np.zeros((self.N, B))
-        self._tmp = np.empty((self.N // 2, B))
+        alpha = np.zeros((self.n + 1, self.N, B))
+        beta = np.zeros((self.n + 1, self.N, B))
+        alpha[self.n] = root.T
+        reg = np.empty((self.L, B))
+        cache = np.zeros((self.N, B))
+        tmp = np.empty((self.N // 2, B))
         snapshots = []
         for t in range(t_max):
-            self._reg.fill(np.inf)
-            self._lam_p, self._lam_i = lam_p[t], lam_i[t]
-            self._traverse(self.n, 0)
-            snapshots.append(self._hard_info())
-        leaf_post = np.ascontiguousarray((self._alpha[0] + self._beta[0]).T)
-        extr = np.zeros((B, self.N)) if self._hard else np.ascontiguousarray(self._beta[self.n].T)
-        # the buffers are per decode; an idle decoder should not hold them
-        self._alpha = self._beta = self._reg = self._cache = self._tmp = None
+            reg.fill(np.inf)
+            self._traverse((alpha, beta, tmp, reg, cache, lam_p[t], lam_i[t]), self.n, 0)
+            snapshots.append(self._hard_info(alpha, beta))
+        leaf_post = np.ascontiguousarray((alpha[0] + beta[0]).T)
+        extr = np.zeros((B, self.N)) if self._hard else np.ascontiguousarray(beta[self.n].T)
         return self._result(snapshots, leaf_post, extr, root, single)
 
     def _result(self, snapshots, leaf_post, extr, root, single) -> DecodeResult:
@@ -284,34 +281,38 @@ class _ScanFamilyDecoder:
             return _shaped_result(snapshots, leaf_post, extr, root, single)
         return _shaped_result(snapshots, leaf_post, extr, root + extr, single)
 
-    def _hard_info(self) -> np.ndarray:
-        post = self._alpha[0][self._info_pos] + self._beta[0][self._info_pos]
+    def _hard_info(self, alpha, beta) -> np.ndarray:
+        post = alpha[0][self._info_pos] + beta[0][self._info_pos]
         return np.ascontiguousarray((post < 0).T, dtype=np.uint8)
 
-    def _traverse(self, s: int, base: int) -> None:
+    def _traverse(self, work, s: int, base: int) -> None:
+        """Visit the level-s node over leaves [base, base + 2^s); `work` is
+        the decode's (alpha, beta, tmp, reg, cache) and the pass's
+        (lambda_p, lambda_i)."""
+        alphas, betas, tmps = work[:3]
         end = base + (1 << s)
         if self._rate0[s, base >> s]:
-            self._beta[s][base:end] = np.inf
-            self._beta[0][base:end] = np.inf
+            betas[s][base:end] = np.inf
+            betas[0][base:end] = np.inf
             return
         if s == 0:
-            self._leaf_visit(base)
+            self._leaf_visit(work, base)
             return
         mid = base + (1 << (s - 1))
-        alpha, beta = self._alpha[s], self._beta[s]
-        asub, bsub = self._alpha[s - 1], self._beta[s - 1]
+        alpha, beta = alphas[s], betas[s]
+        asub, bsub = alphas[s - 1], betas[s - 1]
         a_lo, a_hi = alpha[base:mid], alpha[mid:end]
         b_lo, b_hi = bsub[base:mid], bsub[mid:end]
-        tmp = self._tmp[: mid - base]
+        tmp = tmps[: mid - base]
         # alpha_l = f(a_lo, b_hi + a_hi); alpha_r = f(a_lo, b_lo) + a_hi
         f_pair(a_lo, np.add(b_hi, a_hi, out=tmp), out=asub[base:mid])
         if self._sequential:
-            self._traverse(s - 1, base)
+            self._traverse(work, s - 1, base)
         f_pair(a_lo, b_lo, out=asub[mid:end])
         asub[mid:end] += a_hi
         if not self._sequential:
-            self._traverse(s - 1, base)
-        self._traverse(s - 1, mid)
+            self._traverse(work, s - 1, base)
+        self._traverse(work, s - 1, mid)
         if self._hard and s == self.n:  # SC outputs no coded extrinsics: the root's beta goes unread
             return
         # beta_lo = f(b_lo, a_hi + b_hi); beta_hi = f(b_lo, a_lo) + b_hi
@@ -319,28 +320,29 @@ class _ScanFamilyDecoder:
         f_pair(b_lo, a_lo, out=beta[mid:end])
         beta[mid:end] += b_hi
 
-    def _leaf_visit(self, u: int) -> None:
+    def _leaf_visit(self, work, u: int) -> None:
+        alphas, betas, _, regs, cache, lam_p, lam_i = work
         k = self._kind[u]
-        alpha, out, reg = self._alpha[0][u], self._beta[0][u], self._reg[u % self.L]
+        alpha, out, reg = alphas[0][u], betas[0][u], regs[u % self.L]
         if k != LEAF_UNCHECKED:
-            self._cache[u] = alpha
+            cache[u] = alpha
         if k == LEAF_PC:
-            np.multiply(self._lam_p, reg, out=out)
+            np.multiply(lam_p, reg, out=out)
             return
         if self._hard:  # SC: the decision as +-inf is the feedback, and joins reg
             out[:] = np.where(alpha < 0, -np.inf, np.inf)
             alpha = out
         else:
             out[:] = 0.0
-        if k == LEAF_CHECKED and self._lam_i != 0:  # the chain walk, before u joins reg
+        if k == LEAF_CHECKED and lam_i != 0:  # the chain walk, before u joins reg
             g = reg.copy()
             for v in range(u + self.L, self.N, self.L):
                 if self._kind[v] == LEAF_UNCHECKED:
                     break
                 if self._kind[v] == LEAF_CHECKED:
-                    f_pair(g, self._cache[v], out=g)
+                    f_pair(g, cache[v], out=g)
                 elif self._kind[v] == LEAF_PC:
-                    out += self._lam_i * f_pair(g, self._cache[v])
+                    out += lam_i * f_pair(g, cache[v])
         f_pair(reg, alpha, out=reg)
 
 

@@ -7,6 +7,8 @@ reproducible for any worker count. A chunk's messages and channel LLRs
 come from one call into the compiled frame chunk, or else from the numpy
 chain it is bitwise equal to (`chunk_llrs`). SCAN-family decoders report
 statistics for every iteration 1..t_max out of a single decoding pass.
+With workers > 1 the chunks run on a thread pool (`_chunk_results`) and
+share one cached decoder, which keeps no per-decode state.
 A SimConfig checks that each SNR point gives a positive finite noise
 sigma when it is built, so no chunk meets a bad one.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
@@ -115,12 +117,6 @@ class SimResult:
     config: SimConfig
     cells: list[CellStats]
 
-    def cell(self, snr_db: float, iteration: int) -> CellStats:
-        for c in self.cells:
-            if c.snr_db == snr_db and c.iteration == iteration:
-                return c
-        raise KeyError(f"no cell for snr={snr_db}, iteration={iteration}")
-
 
 def wilson_interval(errors: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
@@ -193,12 +189,17 @@ def _simulate_chunk(config: SimConfig, snr_db: float, lo: int, hi: int):
 
 
 def _chunk_results(config: SimConfig, snr_db: float):
-    """Yield chunk counters in frame order, fanned out over the worker pool.
+    """Yield chunk counters in frame order, fanned out over a thread pool.
 
     The pool holds one chunk per worker plus one queued, and a chunk is
     only submitted once the consumer has taken an earlier result, so when
     the consumer stops early (closing this generator) at most `workers`
-    chunks are still in flight; any the pool has not started are cancelled.
+    chunks are still in flight; any the pool has not started are cancelled,
+    and the started ones run to their end, since a thread cannot be stopped.
+    The threads overlap because the frame chunk and the tree pass release
+    the GIL for the length of their C calls. One worker runs the chunks
+    inline: a pool of one thread would overlap nothing, and its thread's
+    own malloc arena raises peak memory.
     """
     step = config.batch_frames
     bounds = ((lo, min(lo + step, config.max_frames)) for lo in range(0, config.max_frames, step))
@@ -206,7 +207,7 @@ def _chunk_results(config: SimConfig, snr_db: float):
         for lo, hi in bounds:
             yield _simulate_chunk(config, snr_db, lo, hi)
         return
-    with ProcessPoolExecutor(max_workers=config.workers) as ex:
+    with ThreadPoolExecutor(max_workers=config.workers) as ex:
         pending: deque = deque()
         try:
             for lo, hi in bounds:

@@ -46,7 +46,7 @@ def hard_output(leaf_posteriors, rolemap: RoleMap) -> np.ndarray:
 def direct_precode(s, pcs: PcStructure):
     """Oracle pre-coder: q[u] = XOR of s over I(u) at each PC index u."""
     s2, single = _as_batch(s)
-    _check_info_support(s2, pcs.info_positions)
+    _check_info_support(s2, list(pcs.checked_info + pcs.unchecked_info))
     q = s2.copy()
     for u, iu in pcs.checked_sets.items():
         if iu:

@@ -6,6 +6,9 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -899,6 +902,41 @@ def test_empty_batch_gives_empty_results_on_both_engines(kind):
         assert res.iterations_run == dec.iterations
         assert [a.shape for a in res.iteration_info_bits] == [(0, 32)] * dec.iterations
     assert result_digest(results[0]) == result_digest(results[1])
+
+
+@pytest.mark.parametrize("engine", ["c", "numpy"])
+@pytest.mark.parametrize("kind", ["sc", "scan", "pc-scan", "csr-scan"])
+def test_one_decoder_decodes_from_several_threads_at_once(kind, engine):
+    """A decoder keeps no per-decode state: 8 batches of different sizes
+    decoded through one instance from 4 threads give the bits of decoding
+    them one after another."""
+    spec = GOLDEN_CODES["64-none" if kind == "scan" else "64-fc"]
+    rm, pcs = build_code(spec)
+    dec = DecoderConfig(kind=kind, t_max=1 if kind == "sc" else 3)
+    with numpy_engine() if engine == "numpy" else nullcontext():
+        decoder = make_decoder(rm, pcs, dec)
+    if decoder.engine != engine:
+        pytest.skip("no compiled tree pass on this platform")
+    batches = [noisy_llrs(spec, rm, pcs, 40 + 7 * i, 1.5, 900 + i)[1] for i in range(8)]
+    want = [result_digest(decoder.decode(b, dec.iterations)) for b in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the numpy engine's traversal too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            got = list(ex.map(lambda b: decoder.decode(b, dec.iterations), batches, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [result_digest(r) for r in got] == want
+
+
+def test_package_data_ships_both_c_sources():
+    # an installed pcpolar builds its libraries from these files on first use;
+    # without one its loader returns None and the numpy path runs instead
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    shipped = pyproject["tool"]["setuptools"]["package-data"]["pcpolar"]
+    assert treepass.SOURCE.name in shipped
+    assert treepass.FRAME_SOURCE.name in shipped
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")

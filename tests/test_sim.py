@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import os
@@ -5,7 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -153,6 +154,20 @@ def test_results_independent_of_workers():
     assert counts[1] == counts[2] == counts[3]
 
 
+def test_numpy_engine_results_independent_of_workers():
+    # the worker threads share one cached decoder, here on the numpy engine
+    cfg = small_config(spec=CodeSpec(N=64, K=32), decoder=DecoderConfig(kind="pc-scan", t_max=3), max_frames=800)
+    sim._code_and_decoder.cache_clear()
+    try:
+        with numpy_chain(), mock.patch.object(treepass, "load", lambda: None):
+            assert sim._code_and_decoder(cfg.spec, cfg.decoder)[2].engine == "numpy"
+            runs = [run_cell(dataclasses.replace(cfg, workers=w), 2.0) for w in (1, 2)]
+    finally:
+        sim._code_and_decoder.cache_clear()
+    counts = [[(c.frames, c.frame_errors, c.bit_errors) for c in cells] for cells in runs]
+    assert counts[0] == counts[1]
+
+
 def test_results_independent_of_chunking_given_no_early_stop():
     a = run_cell(small_config(batch_frames=100), 2.0)
     b = run_cell(small_config(batch_frames=37), 2.0)
@@ -198,7 +213,7 @@ def test_early_stop_counts_independent_of_workers():
     assert counts[1] == counts[2] == counts[3]
 
 
-class RecordingPool(ProcessPoolExecutor):
+class RecordingPool(ThreadPoolExecutor):
     submitted = 0
 
     def submit(self, *args, **kwargs):
@@ -207,7 +222,7 @@ class RecordingPool(ProcessPoolExecutor):
 
 
 def test_early_stop_submits_only_workers_chunks_past_the_counted(monkeypatch):
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
     RecordingPool.submitted = 0
     cells = run_cell(early_stop_config(workers=2), -2.0)
     counted_chunks = cells[-1].frames // 50
