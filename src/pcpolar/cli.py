@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import __version__, treepass
 from .construction import (
     ROLE_NAMES,
     CodeSpec,
@@ -416,6 +416,7 @@ def cmd_simulate(args) -> int:
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "total_seconds": time.perf_counter() - t_start,
             "engine": engine(),
+            "frames_engine": "numpy" if treepass.load_frames() is None else "c",
         },
     }
     out = args.out or "simulation"

@@ -33,8 +33,10 @@ Each decode runs as one call into a compiled C tree pass (treepass.c's
 one entry point, scan_decode: all passes, the traversal, rate-0 pruning,
 both schedules, the leaf kernels, hard or soft, and the per-pass hard
 decisions). It walks the frames in fixed-size blocks, each in its own
-scratch buffers laid out as above and kept in cache across the passes, so
-its scratch memory does not grow with the batch; it writes the decisions,
+frame-minor scratch buffers, kept in cache across the passes, so its
+scratch memory does not grow with the batch; they hold every beta level
+but, between the leaf and root levels, only the alphas of the node being
+visited's children (see treepass.c). It writes the decisions,
 leaf posteriors and coded extrinsics into arrays numpy allocates. The
 first decoder built in a process builds the library with gcc
 (-O3 -ffp-contract=off, no fast-math) into $XDG_CACHE_HOME/pcpolar or

@@ -3,20 +3,33 @@
  * and _hard_info, for SC (hard leaves, one pass) and the SCAN family.
  *
  * scan_decode walks the frames in blocks of BLOCK. For each block it loads
- * the frames' root LLRs into a scratch (n+1, N, blk) alpha/beta buffer,
- * runs all t_max passes on it and writes the block's per-pass decisions,
- * leaf posteriors and coded extrinsics, so the ~2.9 MB of a block at
- * N=1024 stays in cache across the passes and the scratch memory does not
- * grow with B. Frames are independent, so any block size gives the same
- * bits.
+ * the frames' root LLRs into scratch alpha/beta buffers, runs all t_max
+ * passes on them and writes the block's per-pass decisions, leaf
+ * posteriors and coded extrinsics, so a block's scratch stays in cache
+ * across the passes and the scratch memory does not grow with B. Frames
+ * are independent, so any block size gives the same bits.
  *
- * Inside a block every buffer is frame-minor, as in the numpy engine: alpha
- * and beta are (n+1, N, blk) with row i of a level holding index i of every
- * frame, so a node's halves are contiguous blocks. rate0 is (n+1, N), row s
- * flagging the level-s nodes whose leaves are all frozen-kind. Each update
- * uses the same IEEE operations in the same order as the numpy engine, so
- * the two are bitwise-equal; build without -ffast-math and with
- * -ffp-contract=off.
+ * Inside a block every buffer is frame-minor, as in the numpy engine: row i
+ * of a level holds index i of every frame, so a node's halves are
+ * contiguous blocks. beta is (n+1, N, blk): SCAN reads every level's betas
+ * of the previous pass. alpha keeps only what a pass still reads: all N
+ * rows of level 0 (decisions and posteriors read them) and of level n (the
+ * root LLRs), but of a level s in 1..n-1 only the 2^(s+1) rows of the
+ * children of the level-(s+1) node being visited, since a node's alphas
+ * are written by its parent just before the node is visited and are dead
+ * once it returns. A level-s node's rows sit at (base & amask[s]) from row
+ * aoff[s]. With the leaf cache that makes (n+6) N blk doubles, 2.1 MB at
+ * N=1024, in place of the 3.0 MB of full alpha levels. rate0 is (n+1, N),
+ * row s flagging the level-s nodes whose leaves are all frozen-kind.
+ *
+ * Each update uses the same IEEE operations in the same order as the numpy
+ * engine, so the two are bitwise-equal; build without -ffast-math and with
+ * -ffp-contract=off. On x86-64 glibc, scan_decode and the functions it
+ * runs are cloned for AVX-512F and AVX2 next to the plain build, and the
+ * loader picks the widest the CPU has. The clones only widen the vectors:
+ * none targets FMA (or a -march that implies it), so a multiply and an add
+ * stay two roundings and every clone gives the same bits. -DCLONES=...
+ * replaces the clone attribute, e.g. to build one clone alone.
  *
  * The parity layer is the L chain registers (reg[r]: f over this pass's
  * alphas of chain r's info leaves so far) and the leaf alpha cache. A
@@ -34,10 +47,20 @@
 enum { LEAF_FROZEN, LEAF_PC, LEAF_CHECKED, LEAF_UNCHECKED };
 enum { BLOCK = 16 }; /* frames per block */
 
+/* gcc has no target_clones (or no ifunc to pick one) on other ISAs and libcs */
+#ifndef CLONES
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
+#endif
+#endif
+
 typedef struct {
     int64_t N, B, L;
     int sequential, use_cache, hard;
     double *alpha, *beta;
+    int64_t aoff[64], amask[64]; /* level s's alpha rows: (base & amask[s]) from aoff[s] */
     const uint8_t *rate0;
     const int8_t *kind;
     double *reg;   /* L chain registers, (L, B) */
@@ -60,7 +83,7 @@ static void fill(double *out, double v, int64_t len)
         out[i] = v;
 }
 
-static void leaf(const pass_t *p, int64_t u)
+CLONES static void leaf(const pass_t *p, int64_t u)
 {
     int64_t B = p->B;
     const double *a = p->alpha + u * B;
@@ -110,7 +133,7 @@ static void f_plus(double *out, const double *x, const double *y, const double *
         out[i] = f(x[i], y[i]) + z[i];
 }
 
-static void traverse(const pass_t *p, int s, int64_t base)
+CLONES static void traverse(const pass_t *p, int s, int64_t base)
 {
     int64_t B = p->B, NB = p->N * B, len = (int64_t)1 << s;
     if (p->rate0[s * p->N + (base >> s)]) {
@@ -123,15 +146,15 @@ static void traverse(const pass_t *p, int s, int64_t base)
         return;
     }
     int64_t half = len / 2 * B, lo = base * B, hi = lo + half;
-    const double *alpha = p->alpha + s * NB;
-    double *beta = p->beta + s * NB;
-    double *asub = p->alpha + (s - 1) * NB, *bsub = p->beta + (s - 1) * NB;
-    const double *a_lo = alpha + lo, *a_hi = alpha + hi, *b_lo = bsub + lo, *b_hi = bsub + hi;
+    const double *a_lo = p->alpha + (p->aoff[s] + (base & p->amask[s])) * B, *a_hi = a_lo + half;
+    double *a_sub = p->alpha + (p->aoff[s - 1] + (base & p->amask[s - 1])) * B;
+    double *beta = p->beta + s * NB, *bsub = p->beta + (s - 1) * NB;
+    const double *b_lo = bsub + lo, *b_hi = bsub + hi;
     /* alpha_l = f(a_lo, b_hi + a_hi); alpha_r = f(a_lo, b_lo) + a_hi */
-    f_of_sum(asub + lo, a_lo, b_hi, a_hi, half);
+    f_of_sum(a_sub, a_lo, b_hi, a_hi, half);
     if (p->sequential)
         traverse(p, s - 1, base);
-    f_plus(asub + hi, a_lo, b_lo, a_hi, half);
+    f_plus(a_sub + half, a_lo, b_lo, a_hi, half);
     if (!p->sequential)
         traverse(p, s - 1, base);
     traverse(p, s - 1, base + len / 2);
@@ -150,28 +173,37 @@ static void traverse(const pass_t *p, int s, int64_t base)
  * and, unless hard, the coded extrinsics beta[n], both (B, N); with hard it
  * neither computes nor writes beta[n]. Returns 0, or -1 if the
  * scratch buffers cannot be allocated. */
-int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int hard, const double *root,
-                const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam_p,
-                const double *lam_i, const int64_t *info, int64_t K, uint8_t *decisions,
-                double *post, double *extr)
+CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int hard, const double *root,
+                       const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam_p,
+                       const double *lam_i, const int64_t *info, int64_t K, uint8_t *decisions,
+                       double *post, double *extr)
 {
-    int64_t N = (int64_t)1 << n, NB = N * BLOCK;
+    int64_t N = (int64_t)1 << n;
     int use_cache = 0;
     for (int64_t t = 0; t < t_max; t++)
         use_cache |= lam_i[t] != 0;
-    /* alpha and beta levels, then the cache, then the registers */
-    double *scratch = malloc(((2 * n + 3) * NB + L * BLOCK) * sizeof *scratch);
+    pass_t p = {.N = N, .L = L, .sequential = sequential, .use_cache = use_cache, .hard = hard,
+                .rate0 = rate0, .kind = kind};
+    /* alpha rows: level 0, level n, then level s in 1..n-1 at 2N + 2^(s+1) - 4 */
+    p.aoff[n] = N;
+    p.amask[0] = p.amask[n] = N - 1;
+    for (int s = 1; s < n; s++) {
+        p.aoff[s] = 2 * N + ((int64_t)2 << s) - 4;
+        p.amask[s] = ((int64_t)2 << s) - 1;
+    }
+    int64_t arows = 4 * N - 4;
+    /* alpha rows, then the beta levels, then the cache, then the registers */
+    double *scratch = malloc(((arows + (n + 2) * N) * BLOCK + L * BLOCK) * sizeof *scratch);
     if (!scratch)
         return -1;
-    pass_t p = {.N = N, .L = L, .sequential = sequential, .use_cache = use_cache, .hard = hard,
-                .alpha = scratch, .rate0 = rate0, .kind = kind};
+    p.alpha = scratch;
     for (int64_t f0 = 0; f0 < B; f0 += BLOCK) {
         int64_t nb = B - f0 < BLOCK ? B - f0 : BLOCK, nN = N * nb;
         p.B = nb;
-        p.beta = p.alpha + (n + 1) * nN;
+        p.beta = p.alpha + arows * nb;
         p.cache = p.beta + (n + 1) * nN;
         p.reg = p.cache + nN;
-        double *alpha_root = p.alpha + n * nN;
+        double *alpha_root = p.alpha + N * nb;
         const double *alpha0 = p.alpha, *beta0 = p.beta, *beta_root = p.beta + n * nN;
         /* the numpy engine's zeroed start: alpha[1..n-1] is always written
          * before it is read, alpha[0] is not under rate-0 nodes */

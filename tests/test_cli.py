@@ -278,18 +278,21 @@ def test_engine_is_reported(tmp_path, monkeypatch):
     llrs = "--llrs=" + ",".join(["1.0"] * 16)
 
     def engines(decoder):
+        """The decode output's engine, then the simulate JSON's decoder and frame engines."""
         decode = ["decode", "--config", cfg, llrs, "--decoder", decoder, "--out", str(tmp_path / "d.json")]
         assert main(decode) == 0
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--decoders", decoder]) == 0
-        return json.loads((tmp_path / "d.json").read_text())["engine"], json.loads(
-            (tmp_path / "s.json").read_text()
-        )["timing"]["engine"]
+        timing = json.loads((tmp_path / "s.json").read_text())["timing"]
+        return json.loads((tmp_path / "d.json").read_text())["engine"], timing["engine"], timing["frames_engine"]
 
-    # SC runs on the same engine as the SCAN family
+    # SC runs on the same engine as the SCAN family; the frames have their own
     compiled = "numpy" if treepass.load() is None else "c"
-    assert engines("csr-scan") == engines("sc") == (compiled, compiled)
+    frames = "numpy" if treepass.load_frames() is None else "c"
+    assert engines("csr-scan") == engines("sc") == (compiled, compiled, frames)
     monkeypatch.setattr(treepass, "load", lambda: None)
-    assert engines("csr-scan") == engines("sc") == ("numpy", "numpy")
+    assert engines("csr-scan") == engines("sc") == ("numpy", "numpy", frames)
+    monkeypatch.setattr(treepass, "load_frames", lambda: None)
+    assert engines("csr-scan") == engines("sc") == ("numpy", "numpy", "numpy")
 
 
 def test_simulate_noiseless_flag(tmp_path):

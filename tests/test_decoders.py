@@ -941,14 +941,61 @@ def test_package_data_ships_both_c_sources():
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
 def test_tree_pass_source_compiles_without_warnings():
-    cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(treepass.SOURCE)]
-    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    # as built here, and with no clone attribute, as on other ISAs and libcs
+    for clones in ([], ["-DCLONES="]):
+        cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *clones, str(treepass.SOURCE)]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (clones, done.stderr)
 
+
+def cpu_flags() -> set:
+    """The CPU's feature flags as /proc/cpuinfo lists them (none where it is missing)."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
+
+
+# each clone of the tree pass on its own, as its -DCLONES= value
+CLONE_BUILDS = {
+    "default": "",
+    "avx2": '__attribute__((target("avx2")))',
+    "avx512f": '__attribute__((target("avx512f")))',
+}
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
+@pytest.mark.parametrize("clone", list(CLONE_BUILDS))
+def test_each_clone_keeps_the_golden_digests(clone, tmp_path, monkeypatch):
+    """The loaded library runs only the widest clone this CPU has, so each
+    clone is built alone here and held to the 1024-fc and 64-fc digests."""
+    if clone != "default" and clone not in cpu_flags():
+        pytest.skip(f"this CPU has no {clone}")
+    lib = tmp_path / f"treepass-{clone}.so"
+    cmd = ["gcc", *treepass.FLAGS, f"-DCLONES={CLONE_BUILDS[clone]}", str(treepass.SOURCE), "-o", str(lib)]
+    subprocess.run(cmd, check=True, capture_output=True, timeout=300)
+    compiled = treepass.open_library(lib)
+    monkeypatch.setattr(treepass, "load", lambda: compiled)
+    assert golden_decoder("64-fc", "pc-scan", "sequential").engine == "c"
+    keys = [k for k in GOLDEN_DIGESTS if k.split("/")[0] in ("1024-fc", "64-fc")]
+    changed = changed_golden_digests(keys)
+    assert not changed, f"the {clone} clone changed {changed}"
+
+
+# the smallest trees, where the compiled pass's path-only alpha levels are
+# shortest: PC and checked info leaves, and rate-1 codes that prune nothing
+SMALLEST_CODES = {
+    "4-nr": CodeSpec(N=4, K=2, scheme="nr", L=1, nr_npc=1),
+    "4-rate1": CodeSpec(N=4, K=4),
+    "8-nr": CodeSpec(N=8, K=3, scheme="nr", L=1, nr_npc=2),
+    "8-rate1": CodeSpec(N=8, K=8),
+}
 
 # run with the sanitized library as argv[1]: every golden code at B=300 (past
 # 256 frames and not a whole number of frame blocks), B=1 and one frame past
-# a block, each result against the plain build's
+# a block, and the smallest codes at B=1, one block and one frame past it,
+# each result against the plain build's
 SANITIZED_DECODES = """
 import sys
 from pcpolar import treepass
@@ -956,14 +1003,16 @@ from pcpolar.decoders import DecoderConfig, make_decoder
 import test_decoders as t
 
 libs = (treepass.load(), treepass.open_library(sys.argv[1]))
+codes = [(code, spec, (300, 1, t.FRAME_BLOCK + 1)) for code, spec in t.GOLDEN_CODES.items()]
+codes += [(code, spec, (1, t.FRAME_BLOCK, t.FRAME_BLOCK + 1)) for code, spec in t.SMALLEST_CODES.items()]
 changed = []
-for code, spec in t.GOLDEN_CODES.items():
+for code, spec, batches in codes:
     rm, pcs = t.build_code(spec)
-    _, llr = t.noisy_llrs(spec, rm, pcs, 300, 1.5, 7)
+    _, llr = t.noisy_llrs(spec, rm, pcs, max(batches), 1.5, 7)
     kinds = [("sc", "sequential")] + [(k, s) for k in ("pc-scan", "csr-scan") for s in ("sequential", "literal")]
     for kind, schedule in kinds:
         dec = DecoderConfig(kind, 2, schedule=schedule)
-        for frames in (llr, llr[0], llr[: t.FRAME_BLOCK + 1]):
+        for frames in (llr[0] if B == 1 else llr[:B] for B in batches):
             digests = set()
             for lib in libs:
                 treepass.load = lambda: lib
