@@ -6,10 +6,11 @@ Frame f of a simulation draws its K message bits
 frame index), never on worker count or trial order; `frame_batch` runs
 that loop over a chunk. The simulator's compiled frame chunk
 (framechunk.c, see `sim.chunk_llrs`) makes the same frames, with numpy's
-SeedSequence hash and PCG64 written out in C and numpy's own normal
-sampler linked in, and goes on to encode them and form their LLRs;
-`frame_batch`, `modulate_bpsk` and `channel_llrs` are its reference and
-its fallback.
+SeedSequence hash and PCG64 written out in C, and the fast path of
+numpy's ziggurat normal sampler inline over its tables, read from numpy's
+own sampler; the rare rejected draw runs numpy's sampler itself, linked
+in. It goes on to encode the frames and form their LLRs; `frame_batch`,
+`modulate_bpsk` and `channel_llrs` are its reference and its fallback.
 """
 
 from __future__ import annotations

@@ -8,9 +8,13 @@ the PC kernel's running chain register bitwise-equal to f over the
 checked set. Beta messages are finite or +inf, so as long as the channel
 LLRs are finite no inf - inf can arise anywhere in the tree. Every decoder
 enforces that contract on its input: NaN LLRs raise ValueError, and
-magnitudes above LLR_MAX (infinities included) are clamped to it on a
-copy, leaving the caller's array as it was. Inputs within +-LLR_MAX (the
-channel's own saturation value) pass through unchanged.
+magnitudes above LLR_MAX (infinities included) are clamped to it, never
+in the caller's array. Inputs within +-LLR_MAX (the channel's own
+saturation value) pass through unchanged. The compiled pass does both
+while it loads each frame block's LLRs into its scratch memory, and
+returns the coded posteriors (clamped LLRs plus coded extrinsics) with
+its other outputs, so around it a decode makes no numpy pass over the
+batch; the numpy engine checks, clamps a copy and adds them itself.
 
 Decoders accept a single frame of shape (N,) or a batch (B, N); every
 array in the result mirrors the input's batch shape. A decoder is not
@@ -37,7 +41,10 @@ frame-minor scratch buffers, kept in cache across the passes, so its
 scratch memory does not grow with the batch; they hold every beta level
 but, between the leaf and root levels, only the alphas of the node being
 visited's children (see treepass.c). It writes the decisions,
-leaf posteriors and coded extrinsics into arrays numpy allocates. The
+leaf posteriors, coded extrinsics and coded posteriors into arrays numpy
+allocates; the decoder hands it those and its own fixed arrays (rate-0
+nodes, leaf kinds, info positions, addresses read once when it is
+built) as bare addresses, so a call checks no array flags. The
 first decoder built in a process builds the library with gcc
 (-O3 -ffp-contract=off, no fast-math) into $XDG_CACHE_HOME/pcpolar or
 ~/.cache/pcpolar, keyed by a SHA-256 of source and flags, and loads it
@@ -157,7 +164,8 @@ def _shaped_result(snapshots, leaf_posteriors, coded_extrinsics, coded_posterior
 
 
 def _as_llr_batch(llrs, N: int) -> tuple[np.ndarray, bool]:
-    """The input as a clamped, C-contiguous (B, N) copy, plus whether it was one frame."""
+    """The input as a C-contiguous float64 (B, N) array, a copy only where
+    it is not one already, plus whether it was one frame."""
     a = np.asarray(llrs, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
@@ -168,9 +176,7 @@ def _as_llr_batch(llrs, N: int) -> tuple[np.ndarray, bool]:
         raise ValueError(f"expected an LLR vector or batch, got shape {a.shape}")
     if a.shape[1] != N:
         raise ValueError(f"LLR length {a.shape[1]} != N {N}")
-    if np.isnan(a).any():
-        raise ValueError("LLRs must not be NaN")
-    return np.ascontiguousarray(np.clip(a, -LLR_MAX, LLR_MAX)), single
+    return np.ascontiguousarray(a), single
 
 
 class _ScanFamilyDecoder:
@@ -242,6 +248,8 @@ class _ScanFamilyDecoder:
             self._rate0[s, : self.N >> s] = frozen.reshape(-1, 1 << s).all(axis=1)
         self._lib = treepass.load()
         self.engine = "numpy" if self._lib is None else "c"
+        # the compiled pass takes these fixed arrays by address, read once here
+        self._addrs = tuple(a.ctypes.data for a in (self._rate0, self._kind, self._info_pos))
 
     def decode(self, llrs, t_max: int = 1) -> DecodeResult:
         if t_max < 1:
@@ -253,16 +261,23 @@ class _ScanFamilyDecoder:
         if self._lib is not None:
             K = len(self._info_pos)
             decisions = np.empty((t_max, B, K), dtype=np.uint8)
-            leaf_post = np.empty((B, self.N))
+            leaf_post, coded = np.empty((B, self.N)), np.empty((B, self.N))
             # SC's coded extrinsics are all zero, and the pass does not write them
             extr = np.zeros((B, self.N)) if self._hard else np.empty((B, self.N))
+            rate0, kind, info = self._addrs
             failed = self._lib.scan_decode(
-                self.n, B, t_max, self._sequential, self._hard, root, self._rate0, self._kind, self.L,
-                lam_p, lam_i, self._info_pos, K, decisions, leaf_post, extr,
+                self.n, B, t_max, self._sequential, self._hard, root.ctypes.data, LLR_MAX, rate0, kind, self.L,
+                lam_p.ctypes.data, lam_i.ctypes.data, info, K, decisions.ctypes.data, leaf_post.ctypes.data,
+                extr.ctypes.data, coded.ctypes.data,
             )
+            if failed == -2:
+                raise ValueError("LLRs must not be NaN")
             if failed:
                 raise MemoryError("cannot allocate the compiled tree pass's scratch buffers")
-            return self._result(list(decisions), leaf_post, extr, root, single)
+            return _shaped_result(list(decisions), leaf_post, extr, coded, single)
+        if np.isnan(root).any():
+            raise ValueError("LLRs must not be NaN")
+        root = np.clip(root, -LLR_MAX, LLR_MAX)
         alpha = np.zeros((self.n + 1, self.N, B))
         beta = np.zeros((self.n + 1, self.N, B))
         alpha[self.n] = root.T
@@ -275,12 +290,9 @@ class _ScanFamilyDecoder:
             self._traverse((alpha, beta, tmp, reg, cache, lam_p[t], lam_i[t]), self.n, 0)
             snapshots.append(self._hard_info(alpha, beta))
         leaf_post = np.ascontiguousarray((alpha[0] + beta[0]).T)
-        extr = np.zeros((B, self.N)) if self._hard else np.ascontiguousarray(beta[self.n].T)
-        return self._result(snapshots, leaf_post, extr, root, single)
-
-    def _result(self, snapshots, leaf_post, extr, root, single) -> DecodeResult:
-        if self._hard:  # SC's contract: the channel LLRs as coded posteriors
-            return _shaped_result(snapshots, leaf_post, extr, root, single)
+        if self._hard:  # SC's contract: zero coded extrinsics, the channel LLRs as coded posteriors
+            return _shaped_result(snapshots, leaf_post, np.zeros((B, self.N)), root, single)
+        extr = np.ascontiguousarray(beta[self.n].T)
         return _shaped_result(snapshots, leaf_post, extr, root + extr, single)
 
     def _hard_info(self, alpha, beta) -> np.ndarray:

@@ -5,15 +5,36 @@
  * Frame f's generator is channel.frame_rng(master_seed, f): numpy's PCG64
  * (128-bit LCG, XSL-RR output) seeded from SeedSequence((master_seed, f)),
  * whose hash seed_state runs in full. Its K message bits are bit 7 of each
- * little-endian byte of ceil(K/8) raw words, and its N unit normals come
- * from numpy's own ziggurat, random_standard_normal_fill in libnpyrandom.a,
- * drawn through a bitgen_t over that generator. Build with
- * -ffp-contract=off, so that sym + sigma * noise rounds as numpy's does.
+ * little-endian byte of ceil(K/8) raw words, and its N unit normals are
+ * those of numpy's ziggurat (random_standard_normal in libnpyrandom.a).
+ *
+ * normal_fill runs that ziggurat's fast path inline: one word gives the
+ * strip idx (bits 0-7), the sign (bit 8) and rabs (bits 9-60), and the
+ * normal rabs * wi[idx] is taken when rabs < ki[idx], about 99% of draws.
+ * The sign goes in by XOR on the sign bit, not by numpy's data-dependent
+ * branch, which mispredicts on half the draws; the PCG state stays in a
+ * local, written back only around a slow-path call, because gcc keeps a
+ * state whose address escapes in memory. A rejected word goes to numpy's
+ * own random_standard_normal through a replay generator, whose first word
+ * is that word and whose later ones continue the frame's stream, so the
+ * wedges and the idx-0 tail are numpy's code drawing numpy's words.
+ *
+ * numpy does not export ki and wi, so probe_tables reads them once per
+ * process from random_standard_normal itself, with a probe generator
+ * whose first word is chosen and whose later words and doubles end any
+ * slow path: ki[i] is the first rabs whose word draws more than once and
+ * wi[i] the output for rabs 1. sampler_check holds the tables to numpy's
+ * own fill over 2^16 draws; where they differ, the simulator keeps to the
+ * numpy chain. Build with -ffp-contract=off, so that sym + sigma * noise
+ * rounds as numpy's does.
  */
 #include <numpy/random/bitgen.h>
+#include <pthread.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* from numpy/random/distributions.h, which needs Python.h */
+double random_standard_normal(bitgen_t *bitgen_state);
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 
 typedef unsigned __int128 u128;
@@ -70,18 +91,143 @@ typedef struct {
     u128 state, inc;
 } pcg64_t;
 
+/* PCG64's XSL-RR output of a state */
+static inline uint64_t pcg64_output(u128 state)
+{
+    uint64_t v = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rot = (unsigned)(state >> 122);
+    return v >> rot | v << (-rot & 63);
+}
+
 static uint64_t pcg64_next64(void *st)
 {
     pcg64_t *g = st;
     g->state = g->state * PCG_MULT + g->inc;
-    uint64_t v = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    unsigned rot = (unsigned)(g->state >> 122);
-    return v >> rot | v << (-rot & 63);
+    return pcg64_output(g->state);
 }
 
 static double pcg64_next_double(void *st)
 {
     return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* frame_rng(master seed, f)'s generator */
+static void pcg64_seed(pcg64_t *g, const uint32_t *seed, int64_t nseed, uint64_t f)
+{
+    uint64_t w[4];
+    seed_state(seed, nseed, f, w);
+    g->inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
+    g->state = ((u128)w[0] << 64 | w[1]) + g->inc;
+    g->state = g->state * PCG_MULT + g->inc;
+}
+
+/* A generator whose first word is a given one and whose later draws come
+ * from g. Without g it is probe_tables' probe: its later words are idx
+ * 128, rabs 0, which every strip takes, and its doubles 0.5 (a 0.0 never
+ * ends the idx-0 tail loop). Either way it counts its draws. */
+typedef struct {
+    pcg64_t *g;
+    uint64_t word;
+    int draws;
+} replay_t;
+
+static uint64_t replay_next64(void *st)
+{
+    replay_t *r = st;
+    if (r->draws++ == 0)
+        return r->word;
+    return r->g ? pcg64_next64(r->g) : 128;
+}
+
+static double replay_next_double(void *st)
+{
+    replay_t *r = st;
+    r->draws++;
+    return r->g ? pcg64_next_double(r->g) : 0.5;
+}
+
+/* numpy's random_standard_normal over a replay of word and g; *draws
+ * counts the words and doubles it took */
+static double replay_normal(pcg64_t *g, uint64_t word, int *draws)
+{
+    replay_t r = {.g = g, .word = word};
+    bitgen_t bitgen = {.state = &r, .next_uint64 = replay_next64, .next_double = replay_next_double,
+                       .next_raw = replay_next64}; /* the normal sampler draws no 32-bit words */
+    double x = random_standard_normal(&bitgen);
+    *draws = r.draws;
+    return x;
+}
+
+/* numpy's ziggurat strips: its fast path takes rabs < ki[idx] as rabs * wi[idx] */
+static uint64_t ki[256];
+static double wi[256];
+static pthread_once_t tables_once = PTHREAD_ONCE_INIT;
+
+static void probe_tables(void)
+{
+    int draws;
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        /* the first rabs in [0, 2^52) that the fast path rejects, else 2^52 */
+        uint64_t lo = 0, hi = (uint64_t)1 << 52;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            replay_normal(NULL, mid << 9 | idx, &draws);
+            if (draws == 1)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        ki[idx] = lo;
+        wi[idx] = replay_normal(NULL, (uint64_t)1 << 9 | idx, &draws);
+    }
+}
+
+/* n unit normals from g into out, bitwise numpy's random_standard_normal_fill */
+static void normal_fill(pcg64_t *g, int64_t n, double *out)
+{
+    u128 state = g->state, inc = g->inc;
+    for (int64_t i = 0; i < n; i++) {
+        state = state * PCG_MULT + inc;
+        uint64_t r = pcg64_output(state), rabs = r >> 9 & 0x000FFFFFFFFFFFFF;
+        unsigned idx = r & 0xFF;
+        if (rabs < ki[idx]) {
+            double x = (double)rabs * wi[idx];
+            uint64_t bits;
+            memcpy(&bits, &x, sizeof bits);
+            bits ^= (r & 0x100) << 55; /* the sign bit */
+            memcpy(out + i, &bits, sizeof bits);
+            continue;
+        }
+        int draws;
+        g->state = state;
+        out[i] = replay_normal(g, r, &draws);
+        state = g->state;
+    }
+    g->state = state;
+}
+
+/* 0 if normal_fill gives the bits and the end state of numpy's own fill
+ * over 2^16 draws of frame 0 of master seed 0, else 1; it compares them in
+ * pieces on the stack, since a large malloc raises glibc's mmap and trim
+ * thresholds for the rest of the process */
+int sampler_check(void)
+{
+    enum { PIECE = 256, DRAWS = 1 << 16 };
+    pthread_once(&tables_once, probe_tables);
+    double want[PIECE], got[PIECE];
+    const uint32_t zero = 0;
+    pcg64_t g, h;
+    pcg64_seed(&g, &zero, 1, 0);
+    h = g;
+    bitgen_t bitgen = {.state = &h, .next_uint64 = pcg64_next64, .next_double = pcg64_next_double,
+                       .next_raw = pcg64_next64};
+    int differ = 0;
+    for (int i = 0; i < DRAWS; i += PIECE) {
+        random_standard_normal_fill(&bitgen, PIECE, want);
+        normal_fill(&g, PIECE, got);
+        differ |= memcmp(want, got, sizeof want) != 0;
+    }
+    return differ || g.state != h.state;
 }
 
 /* Frames lo, ..., lo + B - 1 of the master seed whose nseed >= 1
@@ -102,16 +248,11 @@ int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint32_t *seed
         return -1;
     uint8_t *x = (uint8_t *)(raw + nraw), *reg = x + N;
     pcg64_t g;
-    bitgen_t bitgen = {.state = &g, .next_uint64 = pcg64_next64, .next_double = pcg64_next_double,
-                       .next_raw = pcg64_next64}; /* the normal sampler draws no 32-bit words */
+    pthread_once(&tables_once, probe_tables);
     for (int64_t b = 0; b < B; b++) {
-        uint64_t w[4];
-        seed_state(seed, nseed, (uint64_t)lo + b, w);
         uint8_t *m = msgs + b * K;
         double *llr = llrs + b * N;
-        g.inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
-        g.state = ((u128)w[0] << 64 | w[1]) + g.inc;
-        g.state = g.state * PCG_MULT + g.inc;
+        pcg64_seed(&g, seed, nseed, (uint64_t)lo + b);
         for (int64_t j = 0; j < nraw; j++)
             raw[j] = pcg64_next64(&g);
         for (int64_t k = 0; k < K; k++)
@@ -140,7 +281,7 @@ int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint32_t *seed
                 llr[i] = x[i] ? -llr_max : llr_max;
             continue;
         }
-        random_standard_normal_fill(&bitgen, N, llr);
+        normal_fill(&g, N, llr);
         for (int64_t i = 0; i < N; i++) {
             double y = (1.0 - 2.0 * x[i]) + sigma * llr[i];
             llr[i] = 2.0 * y / (sigma * sigma);

@@ -135,12 +135,35 @@ def wilson_interval(errors: int, trials: int, confidence: float = 0.95) -> tuple
 
 
 @lru_cache(maxsize=64)
-def _code_and_decoder(spec: CodeSpec, dec: DecoderConfig):
+def _code(spec: CodeSpec):
+    """The code's role map and chain structure, and the frame chunk's
+    arguments for it: its info positions (int64) and PC flags (uint8), with
+    their addresses, which stay valid while the returned tuple is held."""
     rolemap, pcs = build_code(spec)
+    info = np.ascontiguousarray(rolemap.info_positions, dtype=np.int64)
+    pc = (rolemap.role == PC).astype(np.uint8)
+    return rolemap, pcs, (info, pc, info.ctypes.data, pc.ctypes.data)
+
+
+@lru_cache(maxsize=64)
+def _code_and_decoder(spec: CodeSpec, dec: DecoderConfig):
+    rolemap, pcs, _ = _code(spec)
     return rolemap, pcs, make_decoder(rolemap, pcs, dec)
 
 
-def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int, rolemap, pcs) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _seed_words(master_seed: int):
+    """The master seed's little-endian uint32 words, as SeedSequence splits
+    it, with their address and count."""
+    seed, words = master_seed, []
+    while seed or not words:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+    words = np.array(words, dtype=np.uint32)
+    return words, words.ctypes.data, len(words)
+
+
+def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Messages (B, K) uint8 and channel LLRs (B, N) of frames [lo, hi).
 
     One call into the compiled frame chunk (framechunk.c) makes them,
@@ -150,6 +173,8 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int, rolemap, pcs)
     """
     spec = config.spec
     sigma = 0.0 if config.noiseless else ebn0_to_sigma(snr_db, spec.rate)
+    # info and pc stay referenced while the call reads them by address
+    rolemap, pcs, (info, pc, info_addr, pc_addr) = _code(spec)
     lib = treepass.load_frames()
     if lib is None:
         msgs, noise = frame_batch(config.master_seed, lo, hi, spec.K, spec.N)
@@ -157,18 +182,12 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int, rolemap, pcs)
         if config.noiseless:
             return msgs, channel_llrs(sym, 0.0, noiseless=True)
         return msgs, channel_llrs(sym + sigma * noise, sigma)
-    # the master seed's little-endian uint32 words, as SeedSequence splits it
-    seed, words = config.master_seed, []
-    while seed or not words:
-        words.append(seed & 0xFFFFFFFF)
-        seed >>= 32
+    words, words_addr, nwords = _seed_words(config.master_seed)
     msgs = np.empty((hi - lo, spec.K), dtype=np.uint8)
     llr = np.empty((hi - lo, spec.N))
-    info = np.ascontiguousarray(rolemap.info_positions, dtype=np.int64)
-    pc = (rolemap.role == PC).astype(np.uint8)
     failed = lib.frame_chunk(
-        hi - lo, spec.N, spec.K, pcs.L, np.array(words, dtype=np.uint32), len(words), lo, info, pc,
-        config.noiseless, sigma, LLR_MAX, msgs, llr,
+        hi - lo, spec.N, spec.K, pcs.L, words_addr, nwords, lo, info_addr, pc_addr, config.noiseless, sigma,
+        LLR_MAX, msgs.ctypes.data, llr.ctypes.data,
     )
     if failed:
         raise MemoryError("cannot allocate the compiled frame chunk's scratch buffer")
@@ -178,8 +197,8 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int, rolemap, pcs)
 def _simulate_chunk(config: SimConfig, snr_db: float, lo: int, hi: int):
     """Counters for frames [lo, hi): (frames, per-iteration (ferr, berr), seconds)."""
     t0 = time.perf_counter()
-    rolemap, pcs, decoder = _code_and_decoder(config.spec, config.decoder)
-    msgs, llr = chunk_llrs(config, snr_db, lo, hi, rolemap, pcs)
+    decoder = _code_and_decoder(config.spec, config.decoder)[2]
+    msgs, llr = chunk_llrs(config, snr_db, lo, hi)
     res = decoder.decode(llr, config.decoder.iterations)
     per_iter = []
     for bits in res.iteration_info_bits:

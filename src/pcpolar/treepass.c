@@ -165,18 +165,21 @@ CLONES static void traverse(const pass_t *p, int s, int64_t base)
     f_plus(beta + hi, b_lo, a_lo, b_hi, half);
 }
 
-/* Decode B frames with t_max passes. root is the clamped (B, N) LLRs;
+/* Decode B frames with t_max passes. root is the (B, N) channel LLRs,
+ * which each block loads clamped to +-llr_max (the numpy engine's clip);
  * lam_p and lam_i hold each pass's damping; info holds the K info leaves.
  * hard makes an info leaf feed back its decision as +-inf: one sequential
  * pass of it with lam_p 1 and lam_i 0 is SC, whose alpha_r is a_hi +- a_lo.
  * Writes decisions (t_max, B, K), the leaf posteriors alpha[0] + beta[0]
- * and, unless hard, the coded extrinsics beta[n], both (B, N); with hard it
- * neither computes nor writes beta[n]. Returns 0, or -1 if the
- * scratch buffers cannot be allocated. */
+ * and the coded posteriors, the clamped root plus beta[n] (the clamped
+ * root alone with hard), and, unless hard, the coded extrinsics beta[n],
+ * all (B, N); with hard it neither computes nor writes beta[n]. Returns 0,
+ * -1 if the scratch buffers cannot be allocated, or -2 if an LLR is NaN
+ * (the outputs of blocks before its own are then written). */
 CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int hard, const double *root,
-                       const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam_p,
-                       const double *lam_i, const int64_t *info, int64_t K, uint8_t *decisions,
-                       double *post, double *extr)
+                       double llr_max, const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam_p,
+                       const double *lam_i, const int64_t *info, int64_t K, uint8_t *decisions, double *post,
+                       double *extr, double *coded)
 {
     int64_t N = (int64_t)1 << n;
     int use_cache = 0;
@@ -211,9 +214,17 @@ CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int 
         memset(p.beta, 0, (n + 1) * nN * sizeof *p.beta);
         if (use_cache)
             memset(p.cache, 0, nN * sizeof *p.cache);
+        int nan = 0;
         for (int64_t i = 0; i < N; i++)
-            for (int64_t b = 0; b < nb; b++)
-                alpha_root[i * nb + b] = root[(f0 + b) * N + i];
+            for (int64_t b = 0; b < nb; b++) {
+                double v = root[(f0 + b) * N + i];
+                nan |= v != v;
+                alpha_root[i * nb + b] = v < -llr_max ? -llr_max : v > llr_max ? llr_max : v;
+            }
+        if (nan) {
+            free(scratch);
+            return -2;
+        }
         for (int64_t t = 0; t < t_max; t++) {
             fill(p.reg, INFINITY, L * nb);
             p.lam_p = lam_p[t];
@@ -227,12 +238,13 @@ CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int 
             }
         }
         for (int64_t i = 0; i < N; i++)
-            for (int64_t b = 0; b < nb; b++)
-                post[(f0 + b) * N + i] = alpha0[i * nb + b] + beta0[i * nb + b];
-        if (!hard)
-            for (int64_t i = 0; i < N; i++)
-                for (int64_t b = 0; b < nb; b++)
-                    extr[(f0 + b) * N + i] = beta_root[i * nb + b];
+            for (int64_t b = 0; b < nb; b++) {
+                int64_t out = (f0 + b) * N + i, j = i * nb + b;
+                post[out] = alpha0[j] + beta0[j];
+                coded[out] = hard ? alpha_root[j] : alpha_root[j] + beta_root[j];
+                if (!hard)
+                    extr[out] = beta_root[j];
+            }
     }
     free(scratch);
     return 0;

@@ -19,18 +19,30 @@ None and the decoders run the numpy engine, which computes the same bits.
 The tree pass exports one entry point, `scan_decode`: a whole decode of a
 batch, all passes, in one call (typed in `open_library`). It runs the
 frames in blocks of a fixed size in its own scratch buffers, so its
-memory does not grow with the batch, and writes the decisions and soft
+memory does not grow with the batch; it checks the LLRs for NaN and
+clamps them as it loads each block, and writes the decisions and soft
 outputs into numpy-owned arrays. It sees the code only as its rate-0
 nodes, leaf kinds, L and info positions: a checked info leaf finds its
 parity checks by walking its own chain (see treepass.c).
 
 `load_frames()` does the same for framechunk.c, on a process's first
-simulation chunk; its one entry point, `frame_chunk`, makes a chunk's
-messages and channel LLRs (typed in `open_frame_library`). That file
-links numpy's own normal sampler from the libnpyrandom.a numpy ships, so
-its key also covers numpy's version and the archive's bytes; where it
-returns None (also when the archive is missing), the simulator makes its
-chunks with numpy.
+simulation chunk; its entry point `frame_chunk` makes a chunk's messages
+and channel LLRs (typed in `open_frame_library`). That file runs numpy's
+ziggurat fast path inline over tables it reads from numpy's own normal
+sampler, which it links, with the rest of its slow path, from the
+libnpyrandom.a numpy ships; so its key also covers numpy's version and
+the archive's bytes. Before the library is used, its `sampler_check`
+holds the inline sampler to numpy's own fill over 2^16 draws. Where the
+library cannot be built or loaded (also when the archive is missing) or
+the check finds other bits, `load_frames()` returns None and the
+simulator makes its chunks with numpy.
+
+Both entry points take their arrays as bare addresses (ctypes c_void_p),
+not as numpy.ctypeslib.ndpointer arguments, whose flag and dtype checks
+cost microseconds per argument and call. So only arrays that the calling
+code made itself, C-contiguous and of the declared dtype, go in: the
+per-call outputs, the LLR batch `decoders` copies into that form, and
+the fixed arrays of a decoder or a code, whose addresses are read once.
 """
 
 from __future__ import annotations
@@ -97,25 +109,23 @@ def build(cache: Path, source: Path = SOURCE, flags=FLAGS, link=(), tag: str = "
 
 def open_library(path: Path):
     """The built library (a ctypes.CDLL) with its one entry point,
-    `scan_decode`, typed; array arguments must be C-contiguous and of the
-    declared dtype."""
+    `scan_decode`, typed. Its arrays go in as bare addresses (c_void_p),
+    so a caller passes only arrays it made or checked itself, C-contiguous
+    and of the dtype the comment below gives."""
     import ctypes
 
-    import numpy as np
-
-    def array(dtype):
-        return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-
-    f64, i64 = array(np.float64), ctypes.c_int64
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib = ctypes.CDLL(str(path))
-    # n, B, t_max, sequential, hard, root LLRs (B, N), rate0 (n+1, N), leaf kinds (N,),
-    # L, lambda_p (t_max,), lambda_i (t_max,), info positions (K,), K,
-    # decisions (t_max, B, K), leaf posteriors (B, N), coded extrinsics (B, N)
+    # n, B, t_max, sequential, hard, root LLRs (B, N) float64, LLR_MAX,
+    # rate0 (n+1, N) uint8, leaf kinds (N,) int8, L, lambda_p (t_max,) float64,
+    # lambda_i (t_max,) float64, info positions (K,) int64, K, decisions
+    # (t_max, B, K) uint8, then (B, N) float64: leaf posteriors, coded
+    # extrinsics, coded posteriors
     lib.scan_decode.argtypes = [
-        i64, i64, i64, ctypes.c_int, ctypes.c_int, f64, array(np.uint8), array(np.int8), i64, f64, f64,
-        array(np.int64), i64, array(np.uint8), f64, f64,
+        i64, i64, i64, ctypes.c_int, ctypes.c_int, ptr, ctypes.c_double, ptr, ptr, i64, ptr, ptr, ptr, i64,
+        ptr, ptr, ptr, ptr,
     ]
-    lib.scan_decode.restype = ctypes.c_int  # 0, or -1 when out of memory
+    lib.scan_decode.restype = ctypes.c_int  # 0, -1 when out of memory, -2 on a NaN LLR
     return lib
 
 
@@ -140,33 +150,31 @@ def numpy_random_archive() -> Path:
 
 
 def open_frame_library(path: Path):
-    """The built frame library (a ctypes.CDLL) with its one entry point,
-    `frame_chunk`, typed; array arguments must be C-contiguous and of the
-    declared dtype."""
+    """The built frame library (a ctypes.CDLL) with its entry points typed:
+    `frame_chunk`, whose arrays go in as bare addresses (c_void_p), so a
+    caller passes only arrays it made itself, C-contiguous and of the dtype
+    the comment below gives, and `sampler_check`."""
     import ctypes
 
-    import numpy as np
-
-    def array(dtype):
-        return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-
-    i64 = ctypes.c_int64
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib = ctypes.CDLL(str(path))
     # B, N, K, L, the master seed's little-endian uint32 words and their count,
-    # the first frame index, info positions (K,), PC flags (N,), noiseless,
-    # sigma, LLR_MAX, messages (B, K), LLRs (B, N)
+    # the first frame index, info positions (K,) int64, PC flags (N,) uint8,
+    # noiseless, sigma, LLR_MAX, messages (B, K) uint8, LLRs (B, N) float64
     lib.frame_chunk.argtypes = [
-        i64, i64, i64, i64, array(np.uint32), i64, i64, array(np.int64), array(np.uint8), ctypes.c_int,
-        ctypes.c_double, ctypes.c_double, array(np.uint8), array(np.float64),
+        i64, i64, i64, i64, ptr, i64, i64, ptr, ptr, ctypes.c_int, ctypes.c_double, ctypes.c_double, ptr, ptr,
     ]
     lib.frame_chunk.restype = ctypes.c_int  # 0, or -1 when out of memory
+    lib.sampler_check.argtypes = []
+    lib.sampler_check.restype = ctypes.c_int  # 0 when the inline sampler draws numpy's normals
     return lib
 
 
 @functools.cache
 def load_frames():
     """The compiled frame chunk (see open_frame_library), or None where it
-    cannot be built or loaded. It links numpy's libnpyrandom.a, so its key
+    cannot be built or loaded, or where its sampler_check finds that its
+    normals are not numpy's. It links numpy's libnpyrandom.a, so its key
     also covers numpy's version and the archive's bytes."""
     import subprocess
 
@@ -175,6 +183,7 @@ def load_frames():
     try:
         flags = (*FLAGS, "-I", np.get_include())
         path = build(cache_dir(), FRAME_SOURCE, flags, (numpy_random_archive(),), np.__version__)
-        return open_frame_library(path)
+        lib = open_frame_library(path)
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
+    return None if lib.sampler_check() else lib

@@ -887,6 +887,32 @@ def test_compiled_decode_takes_integer_damping_and_any_batch_layout():
             assert result_digest(dec.decode(batch, 3)) == result_digest(ref.decode(batch, 3)), (damping, name)
 
 
+@needs_compiled
+def test_compiled_decode_finds_a_nan_in_a_later_frame_block():
+    """The compiled pass checks each block's LLRs as it loads them: a NaN
+    only in the last frame of FRAME_BLOCK + 1, the second block, raises."""
+    llr = np.ones((FRAME_BLOCK + 1, 64))
+    llr[FRAME_BLOCK, 63] = np.nan
+    for name, decode in all_four_decoders().items():
+        with pytest.raises(ValueError, match="NaN"):
+            decode(llr)
+
+
+@needs_compiled
+def test_compiled_clamp_of_infinite_and_huge_llrs_equals_the_numpy_engine():
+    """A batch of nothing but +-inf and +-1.7e308, clamped inside the
+    compiled pass, decodes to the numpy engine's bits, and the caller's
+    array stays as it was."""
+    rng = np.random.default_rng(19)
+    llr = rng.choice([np.inf, -np.inf, 1.7e308, -1.7e308], (FRAME_BLOCK + 1, 64))
+    given_llr = llr.copy()
+    for name, decode in all_four_decoders().items():
+        got = result_digest(decode(llr))
+        with numpy_engine():
+            assert got == result_digest(decode(llr)), name
+        assert np.array_equal(llr, given_llr), name
+
+
 @pytest.mark.parametrize("kind", ["sc", "scan", "pc-scan", "csr-scan"])
 def test_empty_batch_gives_empty_results_on_both_engines(kind):
     spec = CodeSpec(N=64, K=32) if kind == "scan" else GOLDEN_CODES["64-fc"]

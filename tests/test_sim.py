@@ -362,7 +362,7 @@ CHUNK_CODES = {(5, 8): 0.5, (32, 64): 0.5, (512, 1024): 0.5}
 
 def chunk_bytes(spec, seed, noiseless, lo, hi):
     cfg = SimConfig(spec, DecoderConfig(), (1.5,), master_seed=seed, noiseless=noiseless)
-    msgs, llr = sim.chunk_llrs(cfg, 1.5, lo, hi, *build_code(spec))
+    msgs, llr = sim.chunk_llrs(cfg, 1.5, lo, hi)
     assert msgs.dtype == np.uint8 and msgs.shape == (hi - lo, spec.K)
     assert llr.dtype == np.float64 and llr.shape == (hi - lo, spec.N)
     return msgs.tobytes(), llr.tobytes()
@@ -421,6 +421,43 @@ def test_compiled_chunk_equals_frame_rng_chain_for_any_seed_and_frame(seed, base
         assert got == chunk_bytes(spec, seed, False, lo, lo + count)
 
 
+@needs_frames
+@pytest.mark.parametrize("seed, lo", [(2026, 0), (2**32 + 5, 2**32 - 1000)])
+def test_compiled_chunk_equals_numpy_chain_at_volume(seed, lo):
+    """2000 frames of N=1024 fc, about 2M normals, so the sampler's rare
+    slow paths (wedges and the idx-0 tail) run thousands of times; the
+    second seed's frames cross 2**32."""
+    spec = CodeSpec(N=1024, K=512, scheme="fc", A=0.5)
+    for start in (lo, lo + 1000):
+        got = chunk_bytes(spec, seed, False, start, start + 1000)
+        with numpy_chain():
+            assert got == chunk_bytes(spec, seed, False, start, start + 1000), start
+
+
+@needs_frames
+def test_sampler_mismatch_falls_back_to_the_numpy_chain(monkeypatch):
+    """Where the inline sampler's self-check finds other normals than
+    numpy's, load_frames() gives None and the sweeps keep their counts."""
+    opened = []
+    open_real = treepass.open_frame_library
+
+    def open_mismatched(path):
+        lib = mock.Mock(wraps=open_real(path))
+        lib.sampler_check.return_value = 1
+        opened.append(lib)
+        return lib
+
+    monkeypatch.setattr(treepass, "open_frame_library", open_mismatched)
+    treepass.load_frames.cache_clear()
+    try:
+        assert treepass.load_frames() is None
+        for kind in SWEEP_COUNTS:
+            test_seeded_sweep_counts_golden(kind)
+        assert [(lib.sampler_check.call_count, lib.frame_chunk.call_count) for lib in opened] == [(1, 0)]
+    finally:
+        treepass.load_frames.cache_clear()
+
+
 GOLDEN_SIM_TESTS = {
     "workers": test_results_independent_of_workers,
     **{f"sweep-{kind}": functools.partial(test_seeded_sweep_counts_golden, kind) for kind in SWEEP_COUNTS},
@@ -441,9 +478,24 @@ def test_frame_chunk_source_compiles_without_warnings():
     assert done.returncode == 0, done.stderr
 
 
-# run with the sanitized library as argv[1]: chunks past 256 frames, single
-# frames, frames across 2**32, seeds of one, two and four words and
-# noiseless chunks, each against the plain build's
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
+def test_frame_chunk_build_passes_its_sampler_check(tmp_path):
+    """Where the frame chunk builds, its inline sampler must draw numpy's
+    normals, so that a broken sampler fails here and does not fall back to
+    the numpy chain unseen."""
+    archive = treepass.numpy_random_archive()
+    if not archive.exists():
+        pytest.skip("numpy ships no libnpyrandom.a")
+    flags = (*treepass.FLAGS, "-I", np.get_include())
+    path = treepass.build(tmp_path / "cache", treepass.FRAME_SOURCE, flags, (archive,))
+    assert treepass.open_frame_library(path).sampler_check() == 0
+
+
+# run with the sanitized library as argv[1]: its sampler self-check (the
+# table probe and 2**16 draws, hundreds through the replay slow path), then
+# chunks past 256 frames (300 of N=1024 draw 307200 normals), single frames,
+# frames across 2**32, seeds of one, two and four words and noiseless
+# chunks, each against the plain build's
 SANITIZED_CHUNKS = """
 import sys
 from unittest import mock
@@ -451,7 +503,7 @@ from pcpolar import treepass
 import test_sim as t
 
 libs = (treepass.load_frames(), treepass.open_frame_library(sys.argv[1]))
-changed = []
+changed = ["sampler_check"] if libs[1].sampler_check() else []
 for (K, N), A in t.CHUNK_CODES.items():
     for scheme in ("fc", "mc", "nr", "none"):
         spec = t.CodeSpec(N=N, K=K, scheme=scheme, A=A)
