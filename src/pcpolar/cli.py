@@ -30,7 +30,7 @@ from .construction import (
     chain_groups,
     check_invariants,
 )
-from .decoders import DECODER_KINDS, DampingConfig, DecoderConfig, engine, make_decoder
+from .decoders import DECODER_KINDS, DecoderConfig, engine, make_decoder
 from .encoder import csr_precode, encode, polar_transform
 from .sim import SimConfig, sweep
 
@@ -42,20 +42,6 @@ class CliError(Exception):
 
 
 _SECTIONS = {"code": CodeSpec, "decoder": DecoderConfig, "sim": SimConfig}
-
-CSV_COLUMNS = (
-    "decoder",
-    "snr_db",
-    "iter",
-    "frames",
-    "frame_errors",
-    "bit_errors",
-    "fer",
-    "ber",
-    "fer_ci_lo",
-    "fer_ci_hi",
-    "seconds",
-)
 
 
 def _json_is(value, hint) -> bool:
@@ -72,16 +58,9 @@ def _json_is(value, hint) -> bool:
 
 
 def _field_types(cls) -> dict:
-    """The keys of the config section that feeds `cls`, with their types:
-    DampingConfig's fields stand in for the damping field, and SimConfig's
-    spec and decoder are sections of their own."""
-    types: dict = {}
-    for name, hint in get_type_hints(cls).items():
-        if hint is DampingConfig:
-            types.update(_field_types(hint))
-        elif not is_dataclass(hint):
-            types[name] = hint
-    return types
+    """The keys of the config section that feeds `cls`, with their types;
+    SimConfig's spec and decoder are sections of their own."""
+    return {name: hint for name, hint in get_type_hints(cls).items() if not is_dataclass(hint)}
 
 
 def _read_text(path: str, what: str = "file") -> str:
@@ -135,11 +114,10 @@ def resolve_spec(cfg: dict) -> CodeSpec:
 
 def resolve_decoder(cfg: dict, kind: str | None = None) -> DecoderConfig:
     d = dict(cfg.get("decoder", {}))
-    damping = {f.name: d.pop(f.name) for f in fields(DampingConfig) if f.name in d}
     if kind:
         d["kind"] = kind
     try:
-        return DecoderConfig(damping=DampingConfig(**damping), **d)
+        return DecoderConfig(**d)
     except ValueError as e:
         raise CliError(f"invalid decoder config: {e}")
 
@@ -161,15 +139,12 @@ def resolve_sim(cfg: dict, spec: CodeSpec, dec: DecoderConfig, args) -> SimConfi
 
 
 def _config_fields(obj) -> dict:
-    """A config dataclass's fields as JSON values, tuples as lists; the
-    damping schedules stand in for the damping field, and SimConfig's spec
-    and decoder are left to their own sections."""
+    """A config dataclass's fields as JSON values, tuples as lists;
+    SimConfig's spec and decoder are left to their own sections."""
     out: dict = {}
     for f in fields(obj):
         v = getattr(obj, f.name)
-        if isinstance(v, DampingConfig):
-            out.update(_config_fields(v))
-        elif not is_dataclass(v):
+        if not is_dataclass(v):
             out[f.name] = list(v) if isinstance(v, tuple) else v
     return out
 
@@ -353,9 +328,10 @@ def _csv_text(config_echo: dict, rows: list[dict]) -> str:
     buf.write(f"# pcpolar {__version__}\n")
     buf.write("# config: " + json.dumps(config_echo, sort_keys=True) + "\n")
     writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
+    # every row has the same keys in the same order: the header is the first row's
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+        writer.writerow([_fmt(v) for v in row.values()])
     return buf.getvalue()
 
 
@@ -384,6 +360,8 @@ def cmd_simulate(args) -> int:
     kinds = [k.strip() for k in args.decoders.split(",")] if args.decoders is not None else [None]
     if "" in kinds:
         raise CliError(f"--decoders {args.decoders!r} holds an empty entry")
+    if len(set(kinds)) < len(kinds):
+        raise CliError(f"--decoders {args.decoders!r} names a decoder more than once")
     rows: list[dict] = []
     per_decoder = []
     config_echo = None

@@ -60,7 +60,7 @@ simulate` report it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +117,8 @@ class DecoderConfig:
 
     kind: str = "sc"
     t_max: int = 1
-    damping: DampingConfig = field(default_factory=DampingConfig)
+    lambda_p: tuple[float, ...] = DampingConfig.lambda_p
+    lambda_i: tuple[float, ...] = DampingConfig.lambda_i
     schedule: str = SEQUENTIAL
 
     def __post_init__(self):
@@ -125,8 +126,14 @@ class DecoderConfig:
             raise ValueError(f"unknown decoder {self.kind!r}, expected one of {DECODER_KINDS}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        DampingConfig(self.lambda_p, self.lambda_i)  # checks the schedules
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
+
+    @property
+    def damping(self) -> DampingConfig:
+        """The schedules as the decoders take them."""
+        return DampingConfig(self.lambda_p, self.lambda_i)
 
     @property
     def iterations(self) -> int:

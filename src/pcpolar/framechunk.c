@@ -1,6 +1,7 @@
 /* A simulation chunk before decode, exported as frame_chunk: the compiled
  * form of channel.frame_batch, encoder.encode, channel.modulate_bpsk and
- * channel.channel_llrs, bitwise equal to that numpy chain.
+ * channel.channel_llrs, bitwise equal to that numpy chain. Like encode,
+ * it sees the code as its role map and register length L.
  *
  * Frame f's generator is channel.frame_rng(master_seed, f): numpy's PCG64
  * (128-bit LCG, XSL-RR output) seeded from SeedSequence((master_seed, f)),
@@ -38,6 +39,7 @@ double random_standard_normal(bitgen_t *bitgen_state);
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 
 typedef unsigned __int128 u128;
+enum { FROZEN, INFO, PC }; /* construction's roles */
 
 #define PCG_MULT ((u128)0x2360ED051FC65DA4 << 64 | 0x4385DF649FCCF645)
 /* SeedSequence's hash constants */
@@ -233,20 +235,23 @@ int sampler_check(void)
 /* Frames lo, ..., lo + B - 1 of the master seed whose nseed >= 1
  * little-endian uint32 words are seed: messages (B, K) and channel LLRs
  * (B, N). Frame f's entropy is those words, then f's: one below 2^32, two
- * above. info holds the K info positions, pc flags the PC positions and L
- * is the register length. Noiseless frames get +-llr_max and draw no noise;
+ * above. role holds each position's role, K of them INFO, and L is the
+ * register length. Noiseless frames get +-llr_max and draw no noise;
  * the others get 2 * (1 - 2x + sigma * noise) / sigma^2, in numpy's order.
  * Returns 0, or -1 if the scratch buffer cannot be allocated. */
 int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint32_t *seed, int64_t nseed, int64_t lo,
-                const int64_t *info, const uint8_t *pc, int noiseless, double sigma, double llr_max, uint8_t *msgs,
-                double *llrs)
+                const int8_t *role, int noiseless, double sigma, double llr_max, uint8_t *msgs, double *llrs)
 {
     int64_t nraw = (K + 7) / 8;
-    /* the raw words, then the codeword, then the chain registers */
-    uint64_t *raw = malloc(nraw * sizeof *raw + N + L);
+    /* the raw words, then the info positions, the codeword and the chain registers */
+    uint64_t *raw = malloc((nraw + K) * sizeof *raw + N + L);
     if (!raw)
         return -1;
-    uint8_t *x = (uint8_t *)(raw + nraw), *reg = x + N;
+    int64_t *info = (int64_t *)(raw + nraw);
+    uint8_t *x = (uint8_t *)(info + K), *reg = x + N;
+    for (int64_t i = 0, k = 0; i < N && k < K; i++)
+        if (role[i] == INFO)
+            info[k++] = i;
     pcg64_t g;
     pthread_once(&tables_once, probe_tables);
     for (int64_t b = 0; b < B; b++) {
@@ -266,7 +271,7 @@ int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint32_t *seed
         for (int64_t r = 0; r < L; r++)
             reg[r] = 0;
         for (int64_t i = 0, r = 0; i < N; i++, r = r + 1 == L ? 0 : r + 1) {
-            if (pc[i])
+            if (role[i] == PC)
                 x[i] = reg[r];
             else
                 reg[r] ^= x[i];

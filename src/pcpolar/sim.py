@@ -4,8 +4,9 @@ Frames are processed in fixed-size chunks; each frame's message and noise
 derive only from (master_seed, frame_index), and the early-stopping rule
 is evaluated at chunk boundaries in frame order, so results are bitwise
 reproducible for any worker count. A chunk's messages and channel LLRs
-come from one call into the compiled frame chunk, or else from the numpy
-chain it is bitwise equal to (`chunk_llrs`). SCAN-family decoders report
+come from one call into the compiled frame chunk, which reads the code's
+role map as `encode` does, or else from the numpy chain it is bitwise
+equal to (`chunk_llrs`). SCAN-family decoders report
 statistics for every iteration 1..t_max out of a single decoding pass.
 With workers > 1 the chunks run on a thread pool (`_chunk_results`) and
 share one cached decoder, which keeps no per-decode state.
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import treepass
 from .channel import LLR_MAX, channel_llrs, ebn0_to_sigma, frame_batch, modulate_bpsk
-from .construction import PC, CodeSpec, build_code
+from .construction import CodeSpec, build_code
 # DECODER_KINDS and DecoderConfig stay importable from this module too
 from .decoders import DECODER_KINDS, DecoderConfig, make_decoder
 from .encoder import encode
@@ -136,31 +137,13 @@ def wilson_interval(errors: int, trials: int, confidence: float = 0.95) -> tuple
 
 @lru_cache(maxsize=64)
 def _code(spec: CodeSpec):
-    """The code's role map and chain structure, and the frame chunk's
-    arguments for it: its info positions (int64) and PC flags (uint8), with
-    their addresses, which stay valid while the returned tuple is held."""
-    rolemap, pcs = build_code(spec)
-    info = np.ascontiguousarray(rolemap.info_positions, dtype=np.int64)
-    pc = (rolemap.role == PC).astype(np.uint8)
-    return rolemap, pcs, (info, pc, info.ctypes.data, pc.ctypes.data)
+    """The code's role map and chain structure, built once per spec."""
+    return build_code(spec)
 
 
 @lru_cache(maxsize=64)
-def _code_and_decoder(spec: CodeSpec, dec: DecoderConfig):
-    rolemap, pcs, _ = _code(spec)
-    return rolemap, pcs, make_decoder(rolemap, pcs, dec)
-
-
-@lru_cache(maxsize=64)
-def _seed_words(master_seed: int):
-    """The master seed's little-endian uint32 words, as SeedSequence splits
-    it, with their address and count."""
-    seed, words = master_seed, []
-    while seed or not words:
-        words.append(seed & 0xFFFFFFFF)
-        seed >>= 32
-    words = np.array(words, dtype=np.uint32)
-    return words, words.ctypes.data, len(words)
+def _decoder(spec: CodeSpec, dec: DecoderConfig):
+    return make_decoder(*_code(spec), dec)
 
 
 def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +156,7 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.n
     """
     spec = config.spec
     sigma = 0.0 if config.noiseless else ebn0_to_sigma(snr_db, spec.rate)
-    # info and pc stay referenced while the call reads them by address
-    rolemap, pcs, (info, pc, info_addr, pc_addr) = _code(spec)
+    rolemap, pcs = _code(spec)
     lib = treepass.load_frames()
     if lib is None:
         msgs, noise = frame_batch(config.master_seed, lo, hi, spec.K, spec.N)
@@ -182,12 +164,14 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.n
         if config.noiseless:
             return msgs, channel_llrs(sym, 0.0, noiseless=True)
         return msgs, channel_llrs(sym + sigma * noise, sigma)
-    words, words_addr, nwords = _seed_words(config.master_seed)
+    # the master seed's little-endian uint32 words, as SeedSequence splits it
+    master = int(config.master_seed)
+    seed = np.array([master >> s & 0xFFFFFFFF for s in range(0, max(master.bit_length(), 1), 32)], dtype=np.uint32)
     msgs = np.empty((hi - lo, spec.K), dtype=np.uint8)
     llr = np.empty((hi - lo, spec.N))
     failed = lib.frame_chunk(
-        hi - lo, spec.N, spec.K, pcs.L, words_addr, nwords, lo, info_addr, pc_addr, config.noiseless, sigma,
-        LLR_MAX, msgs.ctypes.data, llr.ctypes.data,
+        hi - lo, spec.N, spec.K, pcs.L, seed.ctypes.data, len(seed), lo, rolemap.role.ctypes.data, config.noiseless,
+        sigma, LLR_MAX, msgs.ctypes.data, llr.ctypes.data,
     )
     if failed:
         raise MemoryError("cannot allocate the compiled frame chunk's scratch buffer")
@@ -197,7 +181,7 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.n
 def _simulate_chunk(config: SimConfig, snr_db: float, lo: int, hi: int):
     """Counters for frames [lo, hi): (frames, per-iteration (ferr, berr), seconds)."""
     t0 = time.perf_counter()
-    decoder = _code_and_decoder(config.spec, config.decoder)[2]
+    decoder = _decoder(config.spec, config.decoder)
     msgs, llr = chunk_llrs(config, snr_db, lo, hi)
     res = decoder.decode(llr, config.decoder.iterations)
     per_iter = []

@@ -41,8 +41,9 @@ Both entry points take their arrays as bare addresses (ctypes c_void_p),
 not as numpy.ctypeslib.ndpointer arguments, whose flag and dtype checks
 cost microseconds per argument and call. So only arrays that the calling
 code made itself, C-contiguous and of the declared dtype, go in: the
-per-call outputs, the LLR batch `decoders` copies into that form, and
-the fixed arrays of a decoder or a code, whose addresses are read once.
+per-call outputs, the LLR batch `decoders` copies into that form, the
+fixed arrays of a decoder, whose addresses are read once, and the int8
+role map that `construction.build_rolemap` makes.
 """
 
 from __future__ import annotations
@@ -159,10 +160,10 @@ def open_frame_library(path: Path):
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib = ctypes.CDLL(str(path))
     # B, N, K, L, the master seed's little-endian uint32 words and their count,
-    # the first frame index, info positions (K,) int64, PC flags (N,) uint8,
+    # the first frame index, roles (N,) int8 (construction.FROZEN, INFO, PC),
     # noiseless, sigma, LLR_MAX, messages (B, K) uint8, LLRs (B, N) float64
     lib.frame_chunk.argtypes = [
-        i64, i64, i64, i64, ptr, i64, i64, ptr, ptr, ctypes.c_int, ctypes.c_double, ctypes.c_double, ptr, ptr,
+        i64, i64, i64, i64, ptr, i64, i64, ptr, ctypes.c_int, ctypes.c_double, ctypes.c_double, ptr, ptr,
     ]
     lib.frame_chunk.restype = ctypes.c_int  # 0, or -1 when out of memory
     lib.sampler_check.argtypes = []

@@ -212,9 +212,7 @@ def test_criterion_5_pc_scan_beats_sc_fig5_trend():
     pc_cells = run_cell(
         SimConfig(
             spec=FIG3_SPEC,
-            decoder=DecoderConfig(
-                kind="pc-scan", t_max=4, damping=DampingConfig((1.0,), (0.67,))
-            ),
+            decoder=DecoderConfig(kind="pc-scan", t_max=4, lambda_p=(1.0,), lambda_i=(0.67,)),
             snr_points=(3.0,),
             max_frames=frames,
             min_frame_errors=10**9,

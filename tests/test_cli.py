@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +315,17 @@ def test_simulate_multiple_decoders_interleave(tmp_path):
     assert {r["iter"] for r in sc_rows} == {1}
 
 
+def test_simulate_csv_header_is_the_documented_columns(tmp_path):
+    columns = "decoder, snr_db, iter, frames, frame_errors, bit_errors, fer, ber, fer_ci_lo, fer_ci_hi, seconds"
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = re.search(r"CSV rows are `([^`]*)`", readme).group(1)
+    assert " ".join(documented.split()) == columns
+    prefix = str(tmp_path / "h")
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", prefix, "--decoders", "sc,pc-scan"]) == 0
+    header = [line for line in (tmp_path / "h.csv").read_text().splitlines() if not line.startswith("#")][0]
+    assert header == columns.replace(", ", ",")
+
+
 def test_simulate_reproducible_counters(tmp_path):
     cfg = write_config(tmp_path)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -520,11 +533,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["construct", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["simulate", "--config", write_config(tmp_path), "--decoders", "warp"]) == 1
-    # an empty entry names no decoder; it used to add the config's own kind
-    for decoders in ("sc,", ",sc", "sc,,csr-scan", ""):
+    # an empty entry names no decoder; it used to add the config's own kind.
+    # A repeated one used to run its sweep again and write each row twice
+    for decoders in ("sc,", ",sc", "sc,,csr-scan", "", "sc,sc", "csr-scan,pc-scan,csr-scan"):
         out = str(tmp_path / "empty")
+        capsys.readouterr()
         assert main(["simulate", "--config", write_config(tmp_path), "--decoders", decoders, "--out", out]) == 1
         assert not (tmp_path / "empty.csv").exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (decoders, err)
     # a missing or unreadable --in and an unwritable --out end in one error line
     cfg, a_file = write_config(tmp_path), tmp_path / "cfg.json"
     for argv in (

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -6,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcpolar import treepass
+from pcpolar import construction, treepass
 from pcpolar.channel import LLR_MAX, channel_llrs, ebn0_to_sigma, modulate_bpsk
 from pcpolar.construction import FROZEN, INFO, PC, CodeSpec, RoleMap, build_code, derive_pc_structure
 from pcpolar.decoders import (
@@ -969,9 +971,65 @@ def test_package_data_ships_both_c_sources():
 def test_tree_pass_source_compiles_without_warnings():
     # as built here, and with no clone attribute, as on other ISAs and libcs
     for clones in ([], ["-DCLONES="]):
-        cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *clones, str(treepass.SOURCE)]
+        cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-Wshadow", "-Wvla", "-Wcast-qual", "-Wpointer-arith"]
+        cmd += ["-fsyntax-only", *clones, str(treepass.SOURCE)]
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (clones, done.stderr)
+
+
+def c_prototype(source: Path, name: str) -> tuple[str, list[str]]:
+    """The return type and parameter types of `name`'s definition in a C
+    source, each with its const qualifiers and parameter name dropped."""
+    m = re.search(r"(\w+)\s+" + name + r"\s*\(([^)]*)\)\s*\{", source.read_text())
+    params = [re.sub(r"\bconst\b|\w+$", "", p).strip() for p in m.group(2).split(",")]
+    return m.group(1), [" ".join(p.split()) for p in params]
+
+
+def c_enum(source: Path, first: str) -> dict:
+    """The constants of the enum in a C source whose first name is `first`."""
+    body = re.search(r"enum\s*\{\s*(" + first + r"\b[^}]*)\}", source.read_text()).group(1)
+    values, value = {}, -1
+    for item in body.split(","):
+        name, _, expr = item.partition("=")
+        value = int(expr, 0) if expr.strip() else value + 1
+        values[name.strip()] = value
+    return values
+
+
+class _TypedLibrary:
+    """Stands in for ctypes.CDLL: records the types set on its functions."""
+
+    def __init__(self, path):
+        pass
+
+    def __getattr__(self, name):
+        setattr(self, name, types.SimpleNamespace())
+        return getattr(self, name)
+
+
+@pytest.mark.parametrize(
+    "source, name, opener",
+    [
+        (treepass.SOURCE, "scan_decode", treepass.open_library),
+        (treepass.FRAME_SOURCE, "frame_chunk", treepass.open_frame_library),
+    ],
+)
+def test_c_entry_points_match_their_ctypes_types(source, name, opener):
+    # arrays go in as unchecked c_void_p, so a shifted or dropped argument
+    # would reach C as some other value without any error
+    c_types = {"int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    restype, params = c_prototype(source, name)
+    with mock.patch.object(ctypes, "CDLL", _TypedLibrary):
+        fn = getattr(opener(Path("unused.so")), name)
+    assert fn.restype is c_types[restype]
+    assert fn.argtypes == [ctypes.c_void_p if p.endswith("*") else c_types[p] for p in params]
+
+
+def test_c_enums_match_construction():
+    leaf_kinds = ("LEAF_FROZEN", "LEAF_PC", "LEAF_CHECKED", "LEAF_UNCHECKED")
+    assert c_enum(treepass.SOURCE, "LEAF_FROZEN") == {k: getattr(construction, k) for k in leaf_kinds}
+    roles = ("FROZEN", "INFO", "PC")
+    assert c_enum(treepass.FRAME_SOURCE, "FROZEN") == {k: getattr(construction, k) for k in roles}
 
 
 def cpu_flags() -> set:

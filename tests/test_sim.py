@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from pcpolar.channel import frame_batch
 from pcpolar.construction import CodeSpec, build_code
-from pcpolar.decoders import DampingConfig
 from pcpolar import sim, treepass
 from pcpolar.sim import DecoderConfig, SimConfig, run_cell, sweep, wilson_interval
 
@@ -157,13 +156,13 @@ def test_results_independent_of_workers():
 def test_numpy_engine_results_independent_of_workers():
     # the worker threads share one cached decoder, here on the numpy engine
     cfg = small_config(spec=CodeSpec(N=64, K=32), decoder=DecoderConfig(kind="pc-scan", t_max=3), max_frames=800)
-    sim._code_and_decoder.cache_clear()
+    sim._decoder.cache_clear()
     try:
         with numpy_chain(), mock.patch.object(treepass, "load", lambda: None):
-            assert sim._code_and_decoder(cfg.spec, cfg.decoder)[2].engine == "numpy"
+            assert sim._decoder(cfg.spec, cfg.decoder).engine == "numpy"
             runs = [run_cell(dataclasses.replace(cfg, workers=w), 2.0) for w in (1, 2)]
     finally:
-        sim._code_and_decoder.cache_clear()
+        sim._decoder.cache_clear()
     counts = [[(c.frames, c.frame_errors, c.bit_errors) for c in cells] for cells in runs]
     assert counts[0] == counts[1]
 
@@ -288,7 +287,7 @@ def test_iteration_gain_soft_trend():
 
 def test_scan_family_reports_per_iteration_cells():
     cfg = small_config(
-        decoder=DecoderConfig(kind="pc-scan", t_max=3, damping=DampingConfig()),
+        decoder=DecoderConfig(kind="pc-scan", t_max=3, lambda_p=(1.0,), lambda_i=(0.67,)),
         max_frames=200,
     )
     cells = run_cell(cfg, 2.0)
@@ -473,7 +472,8 @@ def test_golden_sim_tests_hold_on_the_numpy_chain(name):
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
 def test_frame_chunk_source_compiles_without_warnings():
-    cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-I", np.get_include(), str(treepass.FRAME_SOURCE)]
+    cmd = ["gcc", "-Wall", "-Wextra", "-Werror", "-Wshadow", "-Wvla", "-Wcast-qual", "-Wpointer-arith"]
+    cmd += ["-fsyntax-only", "-I", np.get_include(), str(treepass.FRAME_SOURCE)]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
