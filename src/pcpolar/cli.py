@@ -29,6 +29,7 @@ from .construction import (
     build_code,
     chain_groups,
     check_invariants,
+    derive_pc_structure,
 )
 from .decoders import DECODER_KINDS, DecoderConfig, engine, make_decoder
 from .encoder import csr_precode, encode, polar_transform
@@ -179,7 +180,8 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_construct(args) -> int:
     cfg = load_config(args.config)
     spec = resolve_spec(cfg)
-    rolemap, pcs = build_code(spec)
+    rolemap, L = build_code(spec)
+    pcs = derive_pc_structure(rolemap, L)
     if args.check:
         check_invariants(spec, rolemap, pcs)
         print("construction invariants ok", file=sys.stderr)
@@ -187,7 +189,7 @@ def cmd_construct(args) -> int:
         "tool": "pcpolar",
         "version": __version__,
         "config": resolved_config_dict(spec),
-        "register_length": pcs.L,
+        "register_length": L,
         "role": [ROLE_NAMES[r] for r in rolemap.role],
         # chains are only meaningful once the code has PC bits
         "chains": [list(c) for c in pcs.chains] if pcs.checked_sets else [],
@@ -195,7 +197,7 @@ def cmd_construct(args) -> int:
         "checking_sets": {str(u): list(pu) for u, pu in sorted(pcs.checking_sets.items())},
         "checked_info": list(pcs.checked_info),
         "unchecked_info": list(pcs.unchecked_info),
-        "chain_groups": chain_groups(rolemap, pcs),
+        "chain_groups": chain_groups(rolemap, L),
     }
     _write_text(args.out, json.dumps(doc, indent=2))
     return 0
@@ -230,7 +232,7 @@ def _parse_message(text: str, K: int) -> np.ndarray:
 def cmd_encode(args) -> int:
     cfg = load_config(args.config)
     spec = resolve_spec(cfg)
-    rolemap, pcs = build_code(spec)
+    rolemap, L = build_code(spec)
     if args.message is not None:
         text = args.message
     elif args.infile is not None:
@@ -242,11 +244,11 @@ def cmd_encode(args) -> int:
     if args.emit_q:
         s = np.zeros(spec.N, dtype=np.uint8)
         s[rolemap.info_positions] = msg
-        q = csr_precode(s, rolemap, pcs.L)
+        q = csr_precode(s, rolemap, L)
         lines.append("q=" + "".join(str(b) for b in q))
         x = polar_transform(q)
     else:
-        x = encode(msg, spec, rolemap, pcs)
+        x = encode(msg, spec, rolemap, L)
     lines.append("".join(str(b) for b in x))
     _write_text(args.out, "\n".join(lines))
     return 0
@@ -277,7 +279,7 @@ def cmd_decode(args) -> int:
     cfg = load_config(args.config)
     spec = resolve_spec(cfg)
     dec = resolve_decoder(cfg, kind=args.decoder)
-    rolemap, pcs = build_code(spec)
+    rolemap, L = build_code(spec)
     if args.llrs is not None:
         frames = [_parse_llr_line(args.llrs, spec.N)]
     elif args.infile is not None:
@@ -289,7 +291,7 @@ def cmd_decode(args) -> int:
         raise CliError("decode needs --llrs or --in file")
     if args.t_max is not None:
         dec = replace(dec, t_max=args.t_max)
-    decoder = make_decoder(rolemap, pcs, dec)
+    decoder = make_decoder(rolemap, L, dec)
     results = []
     for llr in frames:
         r = decoder.decode(llr, dec.iterations)

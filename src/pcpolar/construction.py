@@ -1,13 +1,15 @@
 """Code construction for parity-check polar codes.
 
-Builds the polarization-weight reliability sequence, assigns frozen /
+Builds the polarization-weight reliability sequence and assigns frozen /
 information / parity-check roles for the supported schemes (none, fc, mc,
-nr), and derives the parity-check chain structure used by the encoder and
-the decoders.
+nr). A code is its role map and its register length L, which the encoder
+and the decoders read; `pcpolar construct` also reports the chain structure
+derived from the two.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +87,8 @@ class CodeSpec:
             raise ValueError(f"register length L must be >= 1, got {self.L}")
         if self.L is None and self.scheme != "none" and self.A is None:
             raise ValueError(f"scheme {self.scheme!r} needs an explicit L or a coefficient A")
-        if tuple(self.mc_weights) not in ((1,), (1, 2)):
+        object.__setattr__(self, "mc_weights", tuple(self.mc_weights))  # a list is unhashable
+        if self.mc_weights not in ((1,), (1, 2)):
             raise ValueError(f"mc_weights must be (1,) or (1, 2), got {self.mc_weights}")
         if self.nr_npc < 0 or self.nr_npc_wm < 0:
             raise ValueError("nr_npc and nr_npc_wm must be non-negative")
@@ -273,6 +276,12 @@ def build_rolemap(spec: CodeSpec) -> RoleMap:
     return RoleMap(role=role)
 
 
+def check_register_length(L: int) -> None:
+    """Raise TypeError unless L is an integer, and ValueError if it is below 1."""
+    if operator.index(L) < 1:
+        raise ValueError(f"register length L must be >= 1, got {L}")
+
+
 def derive_pc_structure(rolemap: RoleMap, L: int) -> PcStructure:
     """Derive chains, checked sets I(u) and checking sets P(u).
 
@@ -280,65 +289,54 @@ def derive_pc_structure(rolemap: RoleMap, L: int) -> PcStructure:
     I(u) collects the info indices j < u with (u - j) % L == 0; an empty
     I(u) is legal and makes the PC bit semantically frozen.
     """
-    if L < 1:
-        raise ValueError(f"register length L must be >= 1, got {L}")
-    role = rolemap.role
-    N = len(role)
-    chains: list[list[int]] = [[] for _ in range(L)]
+    check_register_length(L)
+    role = rolemap.role.tolist()
     seen_info: list[list[int]] = [[] for _ in range(L)]
     checked_sets: dict[int, tuple[int, ...]] = {}
     checking_sets: dict[int, list[int]] = {}
-    for i in range(N):
-        r = i % L
-        if role[i] == INFO:
-            chains[r].append(i)
-            seen_info[r].append(i)
-        elif role[i] == PC:
-            chains[r].append(i)
-            checked_sets[i] = tuple(seen_info[r])
-            for j in seen_info[r]:
+    for i, r in enumerate(role):
+        if r == INFO:
+            seen_info[i % L].append(i)
+        elif r == PC:
+            checked_sets[i] = tuple(seen_info[i % L])
+            for j in checked_sets[i]:
                 checking_sets.setdefault(j, []).append(i)
-    checked = tuple(sorted(checking_sets))
-    unchecked = tuple(
-        int(j) for j in rolemap.info_positions if int(j) not in checking_sets
-    )
     return PcStructure(
         L=L,
-        chains=tuple(tuple(c) for c in chains),
+        chains=tuple(tuple(i for i in range(r, len(role), L) if role[i] != FROZEN) for r in range(L)),
         checked_sets=checked_sets,
-        checking_sets={u: tuple(v) for u, v in checking_sets.items()},
-        checked_info=checked,
-        unchecked_info=unchecked,
+        checking_sets={j: tuple(pu) for j, pu in checking_sets.items()},
+        checked_info=tuple(sorted(checking_sets)),
+        unchecked_info=tuple(j for j in rolemap.info_positions.tolist() if j not in checking_sets),
     )
 
 
-def build_code(spec: CodeSpec) -> tuple[RoleMap, PcStructure]:
-    """Convenience: role map plus chain structure for one spec."""
-    rolemap = build_rolemap(spec)
-    return rolemap, derive_pc_structure(rolemap, spec.register_length)
+def build_code(spec: CodeSpec) -> tuple[RoleMap, int]:
+    """The code as the encoder and the decoders read it: its role map and
+    its register length L."""
+    return build_rolemap(spec), spec.register_length
 
 
-def classify_leaves(rolemap: RoleMap, pcs: PcStructure) -> np.ndarray:
-    """The decoder leaf class (LEAF_*) of every index. Frozen collects true
-    frozen positions and PC bits with empty I(u), which behave identically
-    at decode time."""
-    kind = np.full(rolemap.N, LEAF_FROZEN, dtype=np.int8)
-    kind[rolemap.info_positions] = LEAF_UNCHECKED
-    if pcs.checked_info:
-        kind[np.array(pcs.checked_info)] = LEAF_CHECKED
-    for u, iu in pcs.checked_sets.items():
-        kind[u] = LEAF_PC if iu else LEAF_FROZEN
-    return kind
+def classify_leaves(rolemap: RoleMap, L: int) -> np.ndarray:
+    """The decoder leaf class (LEAF_*) of every index: a PC leaf is LEAF_PC if
+    an info leaf precedes it in its chain (a non-empty I(u)), else frozen,
+    which it acts as; an info leaf is LEAF_CHECKED if a PC leaf follows it."""
+    check_register_length(L)
+    N = rolemap.N
+    # padded to a multiple of L, the (-1, L) view holds chain r in column r
+    role = np.pad(rolemap.role, (0, -N % L), constant_values=FROZEN).reshape(-1, L)
+    info, pc = role == INFO, role == PC
+    info_before = np.cumsum(info, axis=0) > 0
+    pc_after = np.cumsum(pc[::-1], axis=0)[::-1] > 0
+    kind = np.select([pc & info_before, info & pc_after, info], [LEAF_PC, LEAF_CHECKED, LEAF_UNCHECKED], LEAF_FROZEN)
+    return kind.astype(np.int8).ravel()[:N]
 
 
-def chain_groups(rolemap: RoleMap, pcs: PcStructure) -> list[dict[str, list[int]]]:
+def chain_groups(rolemap: RoleMap, L: int) -> list[dict[str, list[int]]]:
     """classify_leaves per chain: for each residue r mod L, its indices in
     ascending order under their LEAF_GROUPS name."""
-    kind = classify_leaves(rolemap, pcs)
-    groups = [{name: [] for name in LEAF_GROUPS} for _ in range(pcs.L)]
-    for i, k in enumerate(kind.tolist()):
-        groups[i % pcs.L][LEAF_GROUPS[k]].append(i)
-    return groups
+    kind = classify_leaves(rolemap, L).tolist()
+    return [{g: [i for i in range(r, len(kind), L) if LEAF_GROUPS[kind[i]] == g] for g in LEAF_GROUPS} for r in range(L)]
 
 
 def check_invariants(spec: CodeSpec, rolemap: RoleMap, pcs: PcStructure) -> None:
@@ -348,12 +346,11 @@ def check_invariants(spec: CodeSpec, rolemap: RoleMap, pcs: PcStructure) -> None
         raise AssertionError(f"info count {rolemap.K} != K {spec.K}")
     if spec.scheme == "none" and len(rolemap.pc_positions) != 0:
         raise AssertionError("scheme none must have an empty PC set")
-    L = pcs.L
     for u, iu in pcs.checked_sets.items():
         if role[u] != PC:
             raise AssertionError(f"checked-set key {u} is not a PC position")
         for j in iu:
-            if not (j < u and (u - j) % L == 0 and role[j] == INFO):
+            if not (j < u and (u - j) % pcs.L == 0 and role[j] == INFO):
                 raise AssertionError(f"invalid member {j} of I({u})")
     for u, pu in pcs.checking_sets.items():
         for up in pu:

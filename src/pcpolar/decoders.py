@@ -66,8 +66,7 @@ import numpy as np
 
 from . import treepass
 from .channel import LLR_MAX
-from .construction import PC, PcStructure, RoleMap, classify_leaves, derive_pc_structure
-from .construction import LEAF_CHECKED, LEAF_FROZEN, LEAF_PC, LEAF_UNCHECKED
+from .construction import LEAF_CHECKED, LEAF_FROZEN, LEAF_PC, LEAF_UNCHECKED, PC, RoleMap, classify_leaves
 
 SEQUENTIAL = "sequential"
 SCHEDULES = (SEQUENTIAL, "literal")
@@ -122,6 +121,8 @@ class DecoderConfig:
     schedule: str = SEQUENTIAL
 
     def __post_init__(self):
+        for name in ("lambda_p", "lambda_i"):  # as lists they would make the config unhashable
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.kind not in DECODER_KINDS:
             raise ValueError(f"unknown decoder {self.kind!r}, expected one of {DECODER_KINDS}")
         if self.t_max < 1:
@@ -201,8 +202,8 @@ class _ScanFamilyDecoder:
       registers start each pass at +inf); an unchecked one feeds back 0;
     - a PC leaf feeds back lambda_p times its chain's register, which is
       bitwise f over I(u): I(u) is the chain's info prefix, all of it
-      visited earlier in the pass, and f is exact. That needs `pcs` to be
-      derive_pc_structure(rolemap, pcs.L); any other raises ValueError;
+      visited earlier in the pass, and f is exact. A PC leaf with an empty
+      I(u) is a frozen leaf (classify_leaves);
     - a checked info leaf u feeds back 0.0 plus lambda_i * f over the set
       {v} + I(v) - {u} of each v in P(u), ascending (+0.0, the same bits,
       if lambda_i is 0). Before u joins its register it walks the chain
@@ -232,22 +233,20 @@ class _ScanFamilyDecoder:
     """
 
     def __init__(
-        self, rolemap: RoleMap, pcs: PcStructure, damping: DampingConfig, schedule: str, hard: bool = False
+        self, rolemap: RoleMap, L: int, damping: DampingConfig, schedule: str, hard: bool = False
     ):
         if schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
-        if pcs != derive_pc_structure(rolemap, pcs.L):
-            raise ValueError("pcs is not the chain structure of this role map (derive_pc_structure)")
+        self._kind = classify_leaves(rolemap, L)  # checks L
         self.rolemap = rolemap
         self.damping = damping
         self.schedule = schedule
         self.N = rolemap.N
         self.n = self.N.bit_length() - 1
-        self.L = pcs.L
+        self.L = L
         self._info_pos = np.ascontiguousarray(rolemap.info_positions, dtype=np.int64)
         self._sequential = schedule == SEQUENTIAL
         self._hard = hard
-        self._kind = classify_leaves(rolemap, pcs)
         # _rate0[s, j], j < N >> s: the level-s node covering leaves [j 2^s, (j+1) 2^s)
         frozen = self._kind == LEAF_FROZEN
         self._rate0 = np.zeros((self.n + 1, self.N), dtype=np.uint8)
@@ -374,11 +373,11 @@ class PcScanDecoder(_ScanFamilyDecoder):
     def __init__(
         self,
         rolemap: RoleMap,
-        pcs: PcStructure,
+        L: int,
         damping: DampingConfig | None = None,
         schedule: str = SEQUENTIAL,
     ):
-        super().__init__(rolemap, pcs, damping if damping is not None else DampingConfig(), schedule)
+        super().__init__(rolemap, L, damping if damping is not None else DampingConfig(), schedule)
 
 
 class ScanDecoder(_ScanFamilyDecoder):
@@ -389,7 +388,7 @@ class ScanDecoder(_ScanFamilyDecoder):
     def __init__(self, rolemap: RoleMap, schedule: str = SEQUENTIAL):
         if np.any(rolemap.role == PC):
             raise ValueError("code has PC bits; use the PC-SCAN decoder")
-        super().__init__(rolemap, derive_pc_structure(rolemap, 1), DampingConfig(), schedule)
+        super().__init__(rolemap, 1, DampingConfig(), schedule)
 
 
 class CsrScanDecoder(_ScanFamilyDecoder):
@@ -397,8 +396,8 @@ class CsrScanDecoder(_ScanFamilyDecoder):
     back its chain register as is and every info leaf feeds back 0, which
     is what L cyclic shift registers compute in hardware."""
 
-    def __init__(self, rolemap: RoleMap, pcs: PcStructure, schedule: str = SEQUENTIAL):
-        super().__init__(rolemap, pcs, DampingConfig((1.0,), (0.0,)), schedule)
+    def __init__(self, rolemap: RoleMap, L: int, schedule: str = SEQUENTIAL):
+        super().__init__(rolemap, L, DampingConfig((1.0,), (0.0,)), schedule)
 
 
 class ScDecoder(_ScanFamilyDecoder):
@@ -410,8 +409,8 @@ class ScDecoder(_ScanFamilyDecoder):
     extrinsics are all zero and coded posteriors are the (clamped) LLRs.
     """
 
-    def __init__(self, rolemap: RoleMap, pcs: PcStructure):
-        super().__init__(rolemap, pcs, DampingConfig((1.0,), (0.0,)), SEQUENTIAL, hard=True)
+    def __init__(self, rolemap: RoleMap, L: int):
+        super().__init__(rolemap, L, DampingConfig((1.0,), (0.0,)), SEQUENTIAL, hard=True)
 
     def decode(self, llrs, t_max: int = 1) -> DecodeResult:
         if t_max != 1:
@@ -419,14 +418,14 @@ class ScDecoder(_ScanFamilyDecoder):
         return super().decode(llrs)
 
 
-def make_decoder(rolemap: RoleMap, pcs: PcStructure, dec: DecoderConfig):
-    """The decoder of kind `dec.kind` for this code; call its
+def make_decoder(rolemap: RoleMap, L: int, dec: DecoderConfig):
+    """The decoder of kind `dec.kind` for the code (rolemap, L); call its
     decode(llrs, dec.iterations)."""
     build = {
-        "sc": lambda: ScDecoder(rolemap, pcs),
+        "sc": lambda: ScDecoder(rolemap, L),
         "scan": lambda: ScanDecoder(rolemap, dec.schedule),
-        "pc-scan": lambda: PcScanDecoder(rolemap, pcs, dec.damping, dec.schedule),
-        "csr-scan": lambda: CsrScanDecoder(rolemap, pcs, dec.schedule),
+        "pc-scan": lambda: PcScanDecoder(rolemap, L, dec.damping, dec.schedule),
+        "csr-scan": lambda: CsrScanDecoder(rolemap, L, dec.schedule),
     }
     return build[dec.kind]()
 

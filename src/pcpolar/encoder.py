@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .construction import PC, CodeSpec, PcStructure, RoleMap
+from .construction import PC, CodeSpec, RoleMap, check_register_length
 
 
 def _as_batch(bits) -> tuple[np.ndarray, bool]:
@@ -40,6 +40,7 @@ def csr_precode(s, rolemap: RoleMap, L: int):
     position reads q[i] = sigma[i % L], then every position folds s[i]
     into sigma[i % L]. PC values never feed back into the registers.
     """
+    check_register_length(L)
     s2, single = _as_batch(s)
     if s2.shape[1] != rolemap.N:
         raise ValueError(f"sequence length {s2.shape[1]} != N {rolemap.N}")
@@ -75,8 +76,8 @@ def polar_transform(q):
     return x[0] if single else x
 
 
-def encode(info_bits, spec: CodeSpec, rolemap: RoleMap, pcs: PcStructure):
-    """Full encoder: scatter info bits, PC pre-code, polar transform.
+def encode(info_bits, spec: CodeSpec, rolemap: RoleMap, L: int):
+    """Full encoder: scatter info bits, PC pre-code with L registers, polar transform.
 
     Information bits map to the info positions in ascending index order.
     """
@@ -85,6 +86,6 @@ def encode(info_bits, spec: CodeSpec, rolemap: RoleMap, pcs: PcStructure):
         raise ValueError(f"message length {m.shape[1]} != K {spec.K}")
     s = np.zeros((m.shape[0], spec.N), dtype=np.uint8)
     s[:, rolemap.info_positions] = m
-    q = csr_precode(s, rolemap, pcs.L)
+    q = csr_precode(s, rolemap, L)
     x = polar_transform(q)
     return x[0] if single else x

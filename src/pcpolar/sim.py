@@ -137,7 +137,7 @@ def wilson_interval(errors: int, trials: int, confidence: float = 0.95) -> tuple
 
 @lru_cache(maxsize=64)
 def _code(spec: CodeSpec):
-    """The code's role map and chain structure, built once per spec."""
+    """The code's role map and register length L, built once per spec."""
     return build_code(spec)
 
 
@@ -156,11 +156,11 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.n
     """
     spec = config.spec
     sigma = 0.0 if config.noiseless else ebn0_to_sigma(snr_db, spec.rate)
-    rolemap, pcs = _code(spec)
+    rolemap, L = _code(spec)
     lib = treepass.load_frames()
     if lib is None:
         msgs, noise = frame_batch(config.master_seed, lo, hi, spec.K, spec.N)
-        sym = modulate_bpsk(encode(msgs, spec, rolemap, pcs))
+        sym = modulate_bpsk(encode(msgs, spec, rolemap, L))
         if config.noiseless:
             return msgs, channel_llrs(sym, 0.0, noiseless=True)
         return msgs, channel_llrs(sym + sigma * noise, sigma)
@@ -170,7 +170,7 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.n
     msgs = np.empty((hi - lo, spec.K), dtype=np.uint8)
     llr = np.empty((hi - lo, spec.N))
     failed = lib.frame_chunk(
-        hi - lo, spec.N, spec.K, pcs.L, seed.ctypes.data, len(seed), lo, rolemap.role.ctypes.data, config.noiseless,
+        hi - lo, spec.N, spec.K, L, seed.ctypes.data, len(seed), lo, rolemap.role.ctypes.data, config.noiseless,
         sigma, LLR_MAX, msgs.ctypes.data, llr.ctypes.data,
     )
     if failed:

@@ -3,14 +3,16 @@
 `f_op` is the scalar min-sum box-plus, `f_reduce` its fold along an
 array axis, `hard_output` the info-bit decision rule, `direct_precode`
 and `dense_transform` O(N*|I|) and O(N^2) forms of the encoder's two
-stages, and `transform_matrix` the generator matrix G = F^{tensor n}.
+stages, `transform_matrix` the generator matrix G = F^{tensor n}, and
+`structure_leaf_classes` the decoder leaf classes read off the chain
+structure's checked and checking sets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pcpolar.construction import PcStructure, RoleMap
+from pcpolar.construction import LEAF_CHECKED, LEAF_FROZEN, LEAF_PC, LEAF_UNCHECKED, PcStructure, RoleMap
 from pcpolar.encoder import _as_batch, _check_info_support
 
 
@@ -54,6 +56,19 @@ def direct_precode(s, pcs: PcStructure):
         else:
             q[:, u] = 0
     return q[0] if single else q
+
+
+def structure_leaf_classes(rolemap: RoleMap, pcs: PcStructure) -> np.ndarray:
+    """The leaf class (LEAF_*) of every index from derive_pc_structure's
+    output: a PC bit with an empty I(u) is frozen, an info bit with a
+    non-empty P(u) is checked."""
+    kind = np.full(rolemap.N, LEAF_FROZEN, dtype=np.int8)
+    kind[rolemap.info_positions] = LEAF_UNCHECKED
+    if pcs.checked_info:
+        kind[np.array(pcs.checked_info)] = LEAF_CHECKED
+    for u, iu in pcs.checked_sets.items():
+        kind[u] = LEAF_PC if iu else LEAF_FROZEN
+    return kind
 
 
 def dense_transform(q):

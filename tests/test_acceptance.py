@@ -48,10 +48,10 @@ def report(criterion, passed, detail):
     return line
 
 
-def random_llr_frames(spec, rm, pcs, frames, ebn0_db, seed):
+def random_llr_frames(spec, rm, L, frames, ebn0_db, seed):
     rng = np.random.default_rng(seed)
     msg = rng.integers(0, 2, (frames, spec.K), dtype=np.uint8)
-    x = encode(msg, spec, rm, pcs)
+    x = encode(msg, spec, rm, L)
     sigma = ebn0_to_sigma(ebn0_db, spec.rate)
     y = modulate_bpsk(x) + sigma * rng.standard_normal(x.shape)
     return msg, channel_llrs(y, sigma)
@@ -76,21 +76,23 @@ def test_criterion_1_oracle_equivalences():
         512: CodeSpec(N=512, K=256, scheme="fc", A=1.5),
     }
     for N, spec in specs.items():
-        rm, pcs = build_code(spec)
+        rm, L = build_code(spec)
+        pcs = derive_pc_structure(rm, L)
         s = np.zeros((10_000, N), dtype=np.uint8)
         s[:, rm.info_positions] = rng.integers(0, 2, (10_000, spec.K), dtype=np.uint8)
-        mismatches += int((csr_precode(s, rm, pcs.L) != direct_precode(s, pcs)).sum())
+        mismatches += int((csr_precode(s, rm, L) != direct_precode(s, pcs)).sum())
         q = rng.integers(0, 2, (10_000, N), dtype=np.uint8)
         mismatches += int((polar_transform(q) != dense_transform(q)).sum())
     # exhaustive small lengths
     for N in (4, 8):
         q = ((np.arange(1 << N)[:, None] >> np.arange(N)[None, :]) & 1).astype(np.uint8)
         mismatches += int((polar_transform(q) != dense_transform(q)).sum())
-    rm, pcs = build_code(CodeSpec(N=8, K=4, scheme="fc", L=2))
+    rm, L = build_code(CodeSpec(N=8, K=4, scheme="fc", L=2))
+    pcs = derive_pc_structure(rm, L)
     m = ((np.arange(16)[:, None] >> np.arange(4)[None, :]) & 1).astype(np.uint8)
     s = np.zeros((16, 8), dtype=np.uint8)
     s[:, rm.info_positions] = m
-    mismatches += int((csr_precode(s, rm, pcs.L) != direct_precode(s, pcs)).sum())
+    mismatches += int((csr_precode(s, rm, L) != direct_precode(s, pcs)).sum())
     elapsed = time.perf_counter() - t0
     line = report(
         1,
@@ -106,11 +108,11 @@ def test_criterion_2_flagship_csr_equivalence():
     unit = DampingConfig(lambda_p=(1.0,), lambda_i=(0.0,))
     failures = []
     for spec, seed in ((FIG3_SPEC, 2001), (N128_SPEC, 2002)):
-        rm, pcs = build_code(spec)
-        _, llr = random_llr_frames(spec, rm, pcs, 1000, 2.0, seed)
+        rm, L = build_code(spec)
+        _, llr = random_llr_frames(spec, rm, L, 1000, 2.0, seed)
         for t_max in (1, 4):
-            a = PcScanDecoder(rm, pcs, unit).decode(llr, t_max)
-            b = CsrScanDecoder(rm, pcs).decode(llr, t_max)
+            a = PcScanDecoder(rm, L, unit).decode(llr, t_max)
+            b = CsrScanDecoder(rm, L).decode(llr, t_max)
             if not results_equal(a, b):
                 failures.append((spec.N, t_max))
     elapsed = time.perf_counter() - t0
@@ -128,10 +130,10 @@ def test_criterion_3_reduction_to_scan():
     failures = []
     for N, seed in ((64, 3001), (512, 3002)):
         spec = CodeSpec(N=N, K=N // 2)
-        rm, pcs = build_code(spec)
-        _, llr = random_llr_frames(spec, rm, pcs, 1000, 2.0, seed)
+        rm, L = build_code(spec)
+        _, llr = random_llr_frames(spec, rm, L, 1000, 2.0, seed)
         for t_max in (1, 4):
-            a = PcScanDecoder(rm, pcs).decode(llr, t_max)
+            a = PcScanDecoder(rm, L).decode(llr, t_max)
             b = ScanDecoder(rm).decode(llr, t_max)
             if not results_equal(a, b):
                 failures.append((N, t_max))
@@ -153,15 +155,15 @@ def test_criterion_4_noiseless_correctness():
     }
     failures = []
     for name, spec in specs.items():
-        rm, pcs = build_code(spec)
+        rm, L = build_code(spec)
         rng = np.random.default_rng(4000 + spec.N)
         msg = rng.integers(0, 2, (1000, spec.K), dtype=np.uint8)
-        x = encode(msg, spec, rm, pcs)
+        x = encode(msg, spec, rm, L)
         llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
         runs = {
-            "sc": ScDecoder(rm, pcs).decode(llr).info_bits,
-            "pc-scan": PcScanDecoder(rm, pcs).decode(llr, 2).info_bits,
-            "csr-scan": CsrScanDecoder(rm, pcs).decode(llr, 2).info_bits,
+            "sc": ScDecoder(rm, L).decode(llr).info_bits,
+            "pc-scan": PcScanDecoder(rm, L).decode(llr, 2).info_bits,
+            "csr-scan": CsrScanDecoder(rm, L).decode(llr, 2).info_bits,
         }
         if name == "none":
             # plain scan requires an empty PC set by contract
@@ -387,7 +389,7 @@ def test_criterion_8_construction_golden_vector(tmp_path):
     role = rm.role.copy()
     role[25], role[50] = INFO, PC
     fig_rm = RoleMap(role=role)
-    fig_chain0 = chain_groups(fig_rm, derive_pc_structure(fig_rm, FIG3_SPEC.L))[0]
+    fig_chain0 = chain_groups(fig_rm, FIG3_SPEC.L)[0]
 
     pw_ok = got == PW_CHAIN0
     fig_ok = fig_chain0 == PUBLISHED_CHAIN0
@@ -427,11 +429,11 @@ def test_criterion_9_property_suites():
 
     # encoder linearity and involution
     spec = FIG3_SPEC
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     a = rng.integers(0, 2, (500, 32), dtype=np.uint8)
     b = rng.integers(0, 2, (500, 32), dtype=np.uint8)
     if not np.array_equal(
-        encode(a ^ b, spec, rm, pcs), encode(a, spec, rm, pcs) ^ encode(b, spec, rm, pcs)
+        encode(a ^ b, spec, rm, L), encode(a, spec, rm, L) ^ encode(b, spec, rm, L)
     ):
         problems.append("encoder linearity")
     q = rng.integers(0, 2, (500, 256), dtype=np.uint8)
@@ -445,7 +447,8 @@ def test_criterion_9_property_suites():
         CodeSpec(N=64, K=20, scheme="nr", L=5),
         CodeSpec(N=128, K=64, scheme="fc", A=1.0),
     ):
-        rm2, pcs2 = build_code(spec2)
+        rm2, L2 = build_code(spec2)
+        pcs2 = derive_pc_structure(rm2, L2)
         try:
             check_invariants(spec2, rm2, pcs2)
         except AssertionError as e:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -84,6 +85,30 @@ def test_construct_scheme_none_has_empty_chains(tmp_path):
     assert doc["role"].count("pc") == 0
 
 
+# sha256 of the construct JSON bytes; --check derives and checks the chain structure too
+CONSTRUCT_DIGESTS = {
+    "fc": ({"N": 64, "K": 32, "scheme": "fc", "A": 0.5}, "385794495fc7557da7edca06f42fbb94770d4bf59a013d948b23da3ae14766e9"),
+    "mc": (
+        {"N": 128, "K": 64, "scheme": "mc", "L": 7, "mc_weights": [1, 2]},
+        "df2954369b0d4e3be764480f8ea068156ecf9a9263777589fc1339aa4d9d9b63",
+    ),
+    "nr": (
+        {"N": 64, "K": 32, "scheme": "nr", "L": 3, "nr_npc": 6, "nr_npc_wm": 2},
+        "652753781d34f3bb037e8bf37f921756fa9c44119a2d4d1f71c5186f645a2f8f",
+    ),
+    "none": ({"N": 32, "K": 16}, "8ce1b0263acc6800f9357562aba354876665352863330bea3e0d4f75d6d96fdb"),
+}
+
+
+@pytest.mark.parametrize("scheme", list(CONSTRUCT_DIGESTS))
+def test_construct_json_golden_digest(tmp_path, scheme):
+    code, want = CONSTRUCT_DIGESTS[scheme]
+    cfg = write_config(tmp_path, code=code, decoder=None, sim=None)
+    out = tmp_path / "construct.json"
+    assert main(["construct", "--config", cfg, "--out", str(out), "--check"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 def test_construct_rejects_oversized_k(tmp_path):
     cfg = write_config(tmp_path, code={"N": 16, "K": 17})
     assert main(["construct", "--config", cfg]) == 1
@@ -111,12 +136,12 @@ def test_construct_rejects_unknown_keys(tmp_path):
 def test_encode_matches_library(tmp_path):
     cfg = write_config(tmp_path)
     spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     msg = "10110001"
     out = tmp_path / "cw.txt"
     assert main(["encode", msg, "--config", cfg, "--out", str(out)]) == 0
     bits = np.array([int(b) for b in out.read_text().strip()], dtype=np.uint8)
-    expected = encode(np.array([int(b) for b in msg], dtype=np.uint8), spec, rm, pcs)
+    expected = encode(np.array([int(b) for b in msg], dtype=np.uint8), spec, rm, L)
     assert np.array_equal(bits, expected)
 
 
@@ -152,9 +177,9 @@ def test_encode_rejects_bad_messages(tmp_path):
 def test_decode_round_trip(tmp_path):
     cfg = write_config(tmp_path)
     spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     msg = np.array([1, 0, 1, 1, 0, 0, 0, 1], dtype=np.uint8)
-    llr = channel_llrs(modulate_bpsk(encode(msg, spec, rm, pcs)), 0.0, noiseless=True)
+    llr = channel_llrs(modulate_bpsk(encode(msg, spec, rm, L)), 0.0, noiseless=True)
     out = tmp_path / "dec.json"
     args = ["decode", "--config", cfg, "--llrs", ",".join(str(v) for v in llr), "--out", str(out)]
     assert main(args) == 0
@@ -175,14 +200,14 @@ def test_decode_encodes_infinities_as_strings(tmp_path):
     # SC posteriors are all +-inf; each must round-trip through "inf"/"-inf"
     cfg = write_config(tmp_path)
     spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     llr = np.random.default_rng(4).normal(0.5, 1.0, 16)
     out = tmp_path / "dec.json"
     args = ["decode", "--config", cfg, "--decoder", "sc", "--llrs=" + ",".join(repr(float(v)) for v in llr)]
     assert main(args + ["--out", str(out)]) == 0
     post = strict_json(out.read_text())["results"][0]["leaf_posteriors"]
     assert set(post) <= {"inf", "-inf"}
-    expected = ScDecoder(rm, pcs).decode(llr).leaf_posteriors
+    expected = ScDecoder(rm, L).decode(llr).leaf_posteriors
     assert np.array_equal(np.array(post, dtype=float), expected)
 
 
@@ -196,12 +221,12 @@ def test_decode_rejects_nan_llrs(tmp_path, capsys):
 def test_decode_file_with_multiple_frames(tmp_path):
     cfg = write_config(tmp_path)
     spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     rng = np.random.default_rng(3)
     msgs = rng.integers(0, 2, (3, 8), dtype=np.uint8)
     lines = []
     for m in msgs:
-        llr = channel_llrs(modulate_bpsk(encode(m, spec, rm, pcs)), 0.0, noiseless=True)
+        llr = channel_llrs(modulate_bpsk(encode(m, spec, rm, L)), 0.0, noiseless=True)
         lines.append(" ".join(str(v) for v in llr))
     frames = tmp_path / "frames.txt"
     frames.write_text("\n".join(lines))
@@ -219,9 +244,9 @@ def test_decode_is_make_decoder_decode(tmp_path, kind):
     # scan decodes codes without PC bits only
     code = {"N": 16, "K": 8} if kind == "scan" else {"N": 16, "K": 8, "scheme": "fc", "L": 3}
     cfg = write_config(tmp_path, code=code)
-    rm, pcs = build_code(CodeSpec(**code))
+    rm, L = build_code(CodeSpec(**code))
     dec = DecoderConfig(kind=kind, t_max=2)
-    decoder = make_decoder(rm, pcs, dec)
+    decoder = make_decoder(rm, L, dec)
     assert type(decoder) is KIND_CLASSES[kind]
     llr = np.random.default_rng(9).normal(0.5, 1.5, (2, 16))
     frames = tmp_path / "frames.txt"

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcpolar import construction
 from pcpolar.construction import (
     FROZEN,
     INFO,
@@ -15,13 +18,14 @@ from pcpolar.construction import (
     build_rolemap,
     chain_groups,
     check_invariants,
+    classify_leaves,
     coefficient_to_register_length,
     derive_pc_structure,
     pw_reliability,
     row_weight,
 )
 
-from oracles import transform_matrix
+from oracles import structure_leaf_classes, transform_matrix
 
 
 def brute_force_pw(N):
@@ -187,7 +191,8 @@ def test_nr_without_weight_placement():
 
 def test_derive_pc_structure_fig3_like_checked_sets():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
+    pcs = derive_pc_structure(rm, L)
     assert pcs.checked_sets[20] == (15,)
     assert 20 in pcs.checking_sets[15]
     check_invariants(spec, rm, pcs)
@@ -213,7 +218,7 @@ def test_pc_before_first_info_is_degenerate():
     assert pcs.checked_sets[1] == ()
     assert pcs.checked_sets[4] == ()  # 4 % 3 == 1, no info at index 1
     assert [u for u, iu in pcs.checked_sets.items() if not iu] == [1, 4]
-    groups = chain_groups(RoleMap(role=role), pcs)
+    groups = chain_groups(RoleMap(role=role), 3)
     assert 1 in groups[1]["F"] and 4 in groups[1]["F"]
 
 
@@ -228,7 +233,8 @@ def test_construction_invariants_hold(n, k_frac, scheme, L):
     N = 1 << n
     K = max(1, min(N - (4 if scheme == "nr" else 0), int(round(k_frac * N))))
     spec = CodeSpec(N=N, K=K, scheme=scheme, L=L)
-    rm, pcs = build_code(spec)
+    rm, _ = build_code(spec)
+    pcs = derive_pc_structure(rm, L)
     check_invariants(spec, rm, pcs)
     # duality both ways, exhaustively
     for u, iu in pcs.checked_sets.items():
@@ -244,14 +250,52 @@ def test_construction_invariants_hold(n, k_frac, scheme, L):
 
 def test_chain_groups_partition_every_index():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
-    groups = chain_groups(rm, pcs)
+    rm, L = build_code(spec)
+    groups = chain_groups(rm, L)
     seen = []
     for r, g in enumerate(groups):
         for members in g.values():
             seen.extend(members)
-            assert all(i % pcs.L == r for i in members)
+            assert all(i % L == r for i in members)
     assert sorted(seen) == list(range(64))
+
+
+@pytest.mark.parametrize("N", [4, 8, 16, 64, 256, 1024, 4096])
+def test_classify_leaves_equals_the_chain_structure_classes_on_random_role_maps(N):
+    rng = np.random.default_rng(N)
+    roles = np.array([FROZEN, INFO, PC], dtype=np.int8)
+    for L in sorted({1, 2, 3, 5, 7, 23, N - 1, N, N + 1, 2 * N}):
+        for _ in range(3):
+            rm = RoleMap(role=rng.choice(roles, N, p=rng.dirichlet(np.ones(3))))
+            got = classify_leaves(rm, L)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, structure_leaf_classes(rm, derive_pc_structure(rm, L))), L
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CodeSpec(N=64, K=32),
+        CodeSpec(N=64, K=32, scheme="fc", A=0.5),
+        CodeSpec(N=128, K=64, scheme="mc", L=7, mc_weights=(1, 2)),
+        CodeSpec(N=256, K=128, scheme="nr", L=5, nr_npc=8, nr_npc_wm=3),
+    ],
+)
+def test_classify_leaves_equals_the_chain_structure_classes_on_every_scheme(spec):
+    rm, L = build_code(spec)
+    assert np.array_equal(classify_leaves(rm, L), structure_leaf_classes(rm, derive_pc_structure(rm, L)))
+
+
+def test_codec_modules_do_not_use_the_chain_structure():
+    """The encoder, the decoders and the simulator read a code as its role
+    map and L; the chain structure serves construct and its check only."""
+    forbidden = {"PcStructure", "derive_pc_structure"}
+    src = Path(construction.__file__).parent
+    for name in ("decoders.py", "encoder.py", "sim.py"):
+        tree = ast.parse((src / name).read_text())
+        used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not used & forbidden, name
 
 
 def test_construction_is_deterministic():

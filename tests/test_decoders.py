@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import hashlib
 import math
 import os
@@ -32,7 +31,7 @@ from pcpolar.decoders import (
     f_pair,
     make_decoder,
 )
-from pcpolar.encoder import encode, polar_transform
+from pcpolar.encoder import csr_precode, encode, polar_transform
 
 from oracles import f_op, hard_output
 
@@ -44,10 +43,10 @@ def numpy_engine():
     return mock.patch.object(treepass, "load", lambda: None)
 
 
-def noisy_llrs(spec, rm, pcs, frames, ebn0_db, seed):
+def noisy_llrs(spec, rm, L, frames, ebn0_db, seed):
     rng = np.random.default_rng(seed)
     msg = rng.integers(0, 2, (frames, spec.K), dtype=np.uint8)
-    x = encode(msg, spec, rm, pcs)
+    x = encode(msg, spec, rm, L)
     sigma = ebn0_to_sigma(ebn0_db, spec.rate)
     y = modulate_bpsk(x) + sigma * rng.standard_normal(x.shape)
     return msg, channel_llrs(y, sigma)
@@ -134,9 +133,9 @@ def test_hard_output_rules():
 
 def test_sc_noiseless_all_zero():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     llr = channel_llrs(modulate_bpsk(np.zeros(64, dtype=np.uint8)), 0.0, noiseless=True)
-    res = ScDecoder(rm, pcs).decode(llr)
+    res = ScDecoder(rm, L).decode(llr)
     assert not res.info_bits.any()
     assert res.iterations_run == 1
 
@@ -151,21 +150,21 @@ def test_sc_noiseless_all_zero():
     ],
 )
 def test_sc_noiseless_round_trip(spec):
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     rng = np.random.default_rng(7)
     msg = rng.integers(0, 2, (200, spec.K), dtype=np.uint8)
-    x = encode(msg, spec, rm, pcs)
+    x = encode(msg, spec, rm, L)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
-    res = ScDecoder(rm, pcs).decode(llr)
+    res = ScDecoder(rm, L).decode(llr)
     assert np.array_equal(res.info_bits, msg)
 
 
-def brute_force_map(llr, spec, rm, pcs):
+def brute_force_map(llr, spec, rm, L):
     """Exhaustive max-correlation decoding over all 2^K codewords."""
     best, best_msg = -np.inf, None
     for m in range(1 << spec.K):
         msg = np.array([(m >> j) & 1 for j in range(spec.K)], dtype=np.uint8)
-        x = encode(msg, spec, rm, pcs)
+        x = encode(msg, spec, rm, L)
         score = float(np.sum((1 - 2 * x.astype(float)) * llr))
         if score > best:
             best, best_msg = score, msg
@@ -174,17 +173,17 @@ def brute_force_map(llr, spec, rm, pcs):
 
 def test_sc_rate_one_matches_map():
     spec = CodeSpec(N=4, K=4)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     llr = np.array([-1.0, -1.0, -1.0, -1.0])
-    res = ScDecoder(rm, pcs).decode(llr)
-    assert np.array_equal(res.info_bits, brute_force_map(llr, spec, rm, pcs))
+    res = ScDecoder(rm, L).decode(llr)
+    assert np.array_equal(res.info_bits, brute_force_map(llr, spec, rm, L))
 
 
 def test_sc_rejects_more_than_one_pass():
     spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 2, 2.0, 1)
-    dec = ScDecoder(rm, pcs)
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 2, 2.0, 1)
+    dec = ScDecoder(rm, L)
     assert dec.decode(llr, 1).iterations_run == 1
     with pytest.raises(ValueError, match="t_max"):
         dec.decode(llr, 2)
@@ -192,9 +191,9 @@ def test_sc_rejects_more_than_one_pass():
 
 def test_sc_soft_fields_shape():
     spec = CodeSpec(N=16, K=8, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
-    msg, llr = noisy_llrs(spec, rm, pcs, 3, 2.0, 0)
-    res = ScDecoder(rm, pcs).decode(llr)
+    rm, L = build_code(spec)
+    msg, llr = noisy_llrs(spec, rm, L, 3, 2.0, 0)
+    res = ScDecoder(rm, L).decode(llr)
     assert res.leaf_posteriors.shape == (3, 16)
     assert np.all(np.isinf(res.leaf_posteriors))
     assert not res.coded_extrinsics.any()
@@ -287,10 +286,10 @@ def test_scan_matches_reference_randomized(seed, t_max):
 
 def test_scan_noiseless_single_iteration():
     spec = CodeSpec(N=64, K=32)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     rng = np.random.default_rng(11)
     msg = rng.integers(0, 2, (100, 32), dtype=np.uint8)
-    x = encode(msg, spec, rm, pcs)
+    x = encode(msg, spec, rm, L)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
     res = ScanDecoder(rm).decode(llr, 1)
     assert np.array_equal(res.info_bits, msg)
@@ -336,21 +335,23 @@ def test_pc_scan_first_iteration_checked_info_feedback_is_zero():
         CodeSpec(N=256, K=128, scheme="nr", L=5),
     ]
     for spec in specs:
-        rm, pcs = build_code(spec)
+        rm, L = build_code(spec)
+        pcs = derive_pc_structure(rm, L)
         assert pcs.checked_info
-        full = PcScanDecoder(rm, pcs, damping=DampingConfig((1.0,), (1.0,)))
-        off = PcScanDecoder(rm, pcs, damping=DampingConfig((1.0,), (0.0,)))
+        full = PcScanDecoder(rm, L, damping=DampingConfig((1.0,), (1.0,)))
+        off = PcScanDecoder(rm, L, damping=DampingConfig((1.0,), (0.0,)))
         for seed in range(5):
-            _, llr = noisy_llrs(spec, rm, pcs, 4, 2.0, seed)
+            _, llr = noisy_llrs(spec, rm, L, 4, 2.0, seed)
             a, b = full.decode(llr, 1), off.decode(llr, 1)
             assert result_digest(a) == result_digest(b)
 
 
 def test_pc_scan_zero_damping_equals_scan_with_neutralized_pcs():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 20, 2.0, 2)
-    res = PcScanDecoder(rm, pcs, DampingConfig((0.0,), (0.0,))).decode(llr, 3)
+    rm, L = build_code(spec)
+    pcs = derive_pc_structure(rm, L)
+    _, llr = noisy_llrs(spec, rm, L, 20, 2.0, 2)
+    res = PcScanDecoder(rm, L, DampingConfig((0.0,), (0.0,))).decode(llr, 3)
     # neutralized comparison: PC positions play as unchecked info (beta = 0),
     # except degenerate PCs which stay frozen-equivalent
     role2 = rm.role.copy()
@@ -364,10 +365,10 @@ def test_pc_scan_zero_damping_equals_scan_with_neutralized_pcs():
 
 def test_pc_scan_reduces_to_scan_without_pcs():
     spec = CodeSpec(N=64, K=32)
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 25, 2.0, 3)
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 25, 2.0, 3)
     for t in (1, 3):
-        a = PcScanDecoder(rm, pcs).decode(llr, t)
+        a = PcScanDecoder(rm, L).decode(llr, t)
         b = ScanDecoder(rm).decode(llr, t)
         assert np.array_equal(a.info_bits, b.info_bits)
         assert np.array_equal(a.leaf_posteriors, b.leaf_posteriors)
@@ -377,20 +378,20 @@ def test_pc_scan_reduces_to_scan_without_pcs():
 
 def test_pc_scan_noiseless():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     rng = np.random.default_rng(13)
     msg = rng.integers(0, 2, (100, 32), dtype=np.uint8)
-    x = encode(msg, spec, rm, pcs)
+    x = encode(msg, spec, rm, L)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
-    res = PcScanDecoder(rm, pcs).decode(llr, 2)
+    res = PcScanDecoder(rm, L).decode(llr, 2)
     assert np.array_equal(res.info_bits, msg)
 
 
 def test_pc_scan_iteration_snapshots():
     spec = CodeSpec(N=32, K=16, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 10, 2.0, 4)
-    res = PcScanDecoder(rm, pcs).decode(llr, 4)
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 10, 2.0, 4)
+    res = PcScanDecoder(rm, L).decode(llr, 4)
     assert res.iterations_run == 4
     assert len(res.iteration_info_bits) == 4
     assert np.array_equal(res.iteration_info_bits[-1], res.info_bits)
@@ -411,10 +412,10 @@ def test_pc_scan_iteration_snapshots():
 )
 @pytest.mark.parametrize("t_max", [1, 4])
 def test_csr_equals_pc_scan_with_unit_damping(spec, t_max):
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 50, 2.0, 5)
-    a = PcScanDecoder(rm, pcs, DampingConfig((1.0,), (0.0,))).decode(llr, t_max)
-    b = CsrScanDecoder(rm, pcs).decode(llr, t_max)
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 50, 2.0, 5)
+    a = PcScanDecoder(rm, L, DampingConfig((1.0,), (0.0,))).decode(llr, t_max)
+    b = CsrScanDecoder(rm, L).decode(llr, t_max)
     assert np.array_equal(a.info_bits, b.info_bits)
     assert np.array_equal(a.leaf_posteriors, b.leaf_posteriors)
     assert np.array_equal(a.coded_extrinsics, b.coded_extrinsics)
@@ -427,12 +428,11 @@ def test_csr_equals_pc_scan_exhaustive_n8():
     role[[3, 5, 6, 7]] = INFO
     role[[2, 4]] = PC
     rm = RoleMap(role=role)
-    pcs = derive_pc_structure(rm, 2)
     patterns = ((np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1).astype(float)
     llr = 1.0 - 2.0 * patterns
     for t in (1, 2, 3):
-        a = PcScanDecoder(rm, pcs, DampingConfig((1.0,), (0.0,))).decode(llr, t)
-        b = CsrScanDecoder(rm, pcs).decode(llr, t)
+        a = PcScanDecoder(rm, 2, DampingConfig((1.0,), (0.0,))).decode(llr, t)
+        b = CsrScanDecoder(rm, 2).decode(llr, t)
         assert np.array_equal(a.leaf_posteriors, b.leaf_posteriors)
         assert np.array_equal(a.coded_extrinsics, b.coded_extrinsics)
 
@@ -441,20 +441,19 @@ def test_csr_degenerate_pc_feeds_back_infinity():
     # PC at index 1 precedes any info bit of its chain
     role = np.array([FROZEN, PC, FROZEN, INFO, PC, INFO, INFO, INFO], dtype=np.int8)
     rm = RoleMap(role=role)
-    pcs = derive_pc_structure(rm, 3)
     llr = np.random.default_rng(6).normal(0, 2, 8)
-    res = CsrScanDecoder(rm, pcs).decode(llr, 2)
+    res = CsrScanDecoder(rm, 3).decode(llr, 2)
     assert res.leaf_posteriors[1] == np.inf
 
 
 def test_csr_noiseless():
     spec = CodeSpec(N=64, K=20, scheme="nr", L=5)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     rng = np.random.default_rng(14)
     msg = rng.integers(0, 2, (100, 20), dtype=np.uint8)
-    x = encode(msg, spec, rm, pcs)
+    x = encode(msg, spec, rm, L)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
-    res = CsrScanDecoder(rm, pcs).decode(llr, 3)
+    res = CsrScanDecoder(rm, L).decode(llr, 3)
     assert np.array_equal(res.info_bits, msg)
 
 
@@ -464,36 +463,36 @@ def test_csr_noiseless():
 
 def test_decoders_are_deterministic():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 10, 2.0, 8)
-    a, b = ScDecoder(rm, pcs).decode(llr), ScDecoder(rm, pcs).decode(llr)
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 10, 2.0, 8)
+    a, b = ScDecoder(rm, L).decode(llr), ScDecoder(rm, L).decode(llr)
     assert np.array_equal(a.info_bits, b.info_bits)
-    c, d = (CsrScanDecoder(rm, pcs).decode(llr, 3) for _ in range(2))
+    c, d = (CsrScanDecoder(rm, L).decode(llr, 3) for _ in range(2))
     assert np.array_equal(c.leaf_posteriors, d.leaf_posteriors)
 
 
 def test_single_frame_equals_batch_row():
     spec = CodeSpec(N=32, K=16, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 4, 2.0, 9)
-    batch = CsrScanDecoder(rm, pcs).decode(llr, 2)
-    one = CsrScanDecoder(rm, pcs).decode(llr[2], 2)
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 4, 2.0, 9)
+    batch = CsrScanDecoder(rm, L).decode(llr, 2)
+    one = CsrScanDecoder(rm, L).decode(llr[2], 2)
     assert one.info_bits.shape == (16,)
     assert np.array_equal(one.info_bits, batch.info_bits[2])
     assert np.array_equal(one.leaf_posteriors, batch.leaf_posteriors[2])
-    sc_b = ScDecoder(rm, pcs).decode(llr)
-    sc_1 = ScDecoder(rm, pcs).decode(llr[2])
+    sc_b = ScDecoder(rm, L).decode(llr)
+    sc_1 = ScDecoder(rm, L).decode(llr[2])
     assert np.array_equal(sc_1.info_bits, sc_b.info_bits[2])
 
 
 def test_no_nans_anywhere_in_soft_outputs():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     rng = np.random.default_rng(15)
     msg = rng.integers(0, 2, (50, 32), dtype=np.uint8)
-    x = encode(msg, spec, rm, pcs)
+    x = encode(msg, spec, rm, L)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)  # saturated, worst case
-    res = PcScanDecoder(rm, pcs).decode(llr, 4)
+    res = PcScanDecoder(rm, L).decode(llr, 4)
     assert not np.isnan(res.leaf_posteriors).any()
     assert not np.isnan(res.coded_extrinsics).any()
     assert not np.isnan(res.coded_posteriors).any()
@@ -506,25 +505,30 @@ def array_bytes(dec):
 @pytest.mark.parametrize("kind", ["pc-scan", "csr-scan"])
 def test_idle_decoder_holds_no_per_decode_buffers(kind):
     spec = CodeSpec(N=256, K=128, scheme="fc", A=0.5)
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 50, 2.0, 18)
-    dec = make_decoder(rm, pcs, DecoderConfig(kind=kind, t_max=2))
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 50, 2.0, 18)
+    dec = make_decoder(rm, L, DecoderConfig(kind=kind, t_max=2))
     idle = array_bytes(dec)
     dec.decode(llr, 2)
     assert array_bytes(dec) == idle
 
 
-def test_scan_family_rejects_a_structure_not_derived_from_the_code():
+def test_codec_rejects_a_register_length_below_one_or_a_chain_structure():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
-    u = next(u for u, iu in pcs.checked_sets.items() if len(iu) >= 2)
-    trimmed = dataclasses.replace(pcs, checked_sets={**pcs.checked_sets, u: pcs.checked_sets[u][1:]})
-    for build in (lambda p: ScDecoder(rm, p), lambda p: PcScanDecoder(rm, p), lambda p: CsrScanDecoder(rm, p)):
-        build(pcs)
-        with pytest.raises(ValueError, match="chain structure"):
-            build(trimmed)
-        with pytest.raises(ValueError, match="L must be >= 1"):
-            build(dataclasses.replace(pcs, L=0))
+    rm, L = build_code(spec)
+    msg = np.zeros((1, spec.K), dtype=np.uint8)
+    s = np.zeros(spec.N, dtype=np.uint8)
+    builds = [lambda L: ScDecoder(rm, L), lambda L: PcScanDecoder(rm, L), lambda L: CsrScanDecoder(rm, L)]
+    builds += [lambda L, k=kind: make_decoder(rm, L, DecoderConfig(kind=k)) for kind in ("sc", "pc-scan", "csr-scan")]
+    builds += [lambda L: encode(msg, spec, rm, L), lambda L: csr_precode(s, rm, L)]
+    for build in builds:
+        build(L)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="L must be >= 1"):
+                build(bad)
+        # the old API's PcStructure where L belongs
+        with pytest.raises(TypeError):
+            build(derive_pc_structure(rm, L))
 
 
 # ---------------------------------------------------------------------------
@@ -654,23 +658,23 @@ def result_digest(res):
 def golden_decoder(code, decoder, schedule):
     """The decoder a golden digest key names, built on a golden code."""
     spec = GOLDEN_CODES[code]
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     if decoder == "sc":  # one pass, no schedule ("-" in the key)
-        return ScDecoder(rm, pcs)
+        return ScDecoder(rm, L)
     if decoder == "scan":  # same N and K, no PC bits
         return ScanDecoder(build_code(CodeSpec(N=spec.N, K=spec.K))[0], schedule)
     if decoder == "pc-scan":
-        return PcScanDecoder(rm, pcs, schedule=schedule)
+        return PcScanDecoder(rm, L, schedule=schedule)
     if decoder == "pc-scan-damped":  # lambda_i = 0 in pass 1, lambda_p != 1
-        return PcScanDecoder(rm, pcs, GOLDEN_DAMPING, schedule)
-    return CsrScanDecoder(rm, pcs, schedule)
+        return PcScanDecoder(rm, L, GOLDEN_DAMPING, schedule)
+    return CsrScanDecoder(rm, L, schedule)
 
 
 def golden_decode(code, decoder, schedule, frames):
     spec = GOLDEN_CODES[code]
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     seed = 100 + list(GOLDEN_CODES).index(code)
-    _, llr = noisy_llrs(spec, rm, pcs, 6, 1.5, seed)
+    _, llr = noisy_llrs(spec, rm, L, 6, 1.5, seed)
     if frames == "single":
         llr = llr[3]
     dec = golden_decoder(code, decoder, schedule)
@@ -699,12 +703,12 @@ def zero_llr_decode(L, schedule):
     +-0.0, so checked-info feedback sums f results of either zero sign (at
     every third LLR nearly all feedback is zero and the schedules agree)."""
     spec = CodeSpec(N=64, K=32, scheme="fc", L=L)
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 8, 1.5, 200 + L)
+    rm, _ = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 8, 1.5, 200 + L)
     flat = llr.reshape(-1)
     negative = np.random.default_rng(L).random(flat[::7].shape) < 0.5
     flat[::7] = np.where(negative, -0.0, 0.0)
-    return PcScanDecoder(rm, pcs, schedule=schedule).decode(llr, 3)
+    return PcScanDecoder(rm, L, schedule=schedule).decode(llr, 3)
 
 
 ZERO_LLR_DIGESTS = {
@@ -732,13 +736,13 @@ CONTRACT_SPEC = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
 
 
 def all_four_decoders():
-    rm, pcs = build_code(CONTRACT_SPEC)
+    rm, L = build_code(CONTRACT_SPEC)
     plain_rm, _ = build_code(CodeSpec(N=64, K=32))
     return {
-        "sc": lambda llr: ScDecoder(rm, pcs).decode(llr),
+        "sc": lambda llr: ScDecoder(rm, L).decode(llr),
         "scan": lambda llr: ScanDecoder(plain_rm).decode(llr, 2),
-        "pc-scan": lambda llr: PcScanDecoder(rm, pcs).decode(llr, 2),
-        "csr-scan": lambda llr: CsrScanDecoder(rm, pcs).decode(llr, 2),
+        "pc-scan": lambda llr: PcScanDecoder(rm, L).decode(llr, 2),
+        "csr-scan": lambda llr: CsrScanDecoder(rm, L).decode(llr, 2),
     }
 
 
@@ -781,17 +785,17 @@ def test_no_nans_at_extreme_llr_magnitudes(values):
 
 def test_literal_schedule_noiseless_round_trip():
     spec = CodeSpec(N=32, K=16, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     rng = np.random.default_rng(16)
     msg = rng.integers(0, 2, (50, 16), dtype=np.uint8)
-    x = encode(msg, spec, rm, pcs)
+    x = encode(msg, spec, rm, L)
     llr = channel_llrs(modulate_bpsk(x), 0.0, noiseless=True)
-    res = PcScanDecoder(rm, pcs, schedule="literal").decode(llr, 2)
+    res = PcScanDecoder(rm, L, schedule="literal").decode(llr, 2)
     assert np.array_equal(res.info_bits, msg)
     # the two schedules genuinely differ on noisy input
-    _, noisy = noisy_llrs(spec, rm, pcs, 50, 1.0, 17)
-    seq = PcScanDecoder(rm, pcs, schedule="sequential").decode(noisy, 2)
-    lit = PcScanDecoder(rm, pcs, schedule="literal").decode(noisy, 2)
+    _, noisy = noisy_llrs(spec, rm, L, 50, 1.0, 17)
+    seq = PcScanDecoder(rm, L, schedule="sequential").decode(noisy, 2)
+    lit = PcScanDecoder(rm, L, schedule="literal").decode(noisy, 2)
     assert not np.array_equal(seq.leaf_posteriors, lit.leaf_posteriors)
 
 
@@ -822,16 +826,16 @@ needs_compiled = pytest.mark.skipif(treepass.load() is None, reason="no compiled
 @pytest.mark.parametrize("schedule", ["sequential", "literal"])
 def test_compiled_pass_equals_numpy_engine_n1024(schedule):
     spec = GOLDEN_CODES["1024-fc"]
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     plain_rm, _ = build_code(CodeSpec(N=1024, K=512))
-    _, llr = noisy_llrs(spec, rm, pcs, 64, 1.5, 4242)
+    _, llr = noisy_llrs(spec, rm, L, 64, 1.5, 4242)
     llr[0, :7] = [0.0, -0.0, 5e-324, -5e-324, 1e12, -1e12, LLR_MAX]
     builds = {
         "scan": lambda: ScanDecoder(plain_rm, schedule),
-        "csr-scan": lambda: CsrScanDecoder(rm, pcs, schedule),
+        "csr-scan": lambda: CsrScanDecoder(rm, L, schedule),
     }
     for damping in (None, DampingConfig((0.8, 1.0), (0.5, 0.67, 0.9)), DampingConfig((1.0,), (0.0,))):
-        builds[f"pc-scan {damping}"] = lambda d=damping: PcScanDecoder(rm, pcs, d, schedule)
+        builds[f"pc-scan {damping}"] = lambda d=damping: PcScanDecoder(rm, L, d, schedule)
     for name, build in builds.items():
         dec = build()
         with numpy_engine():
@@ -855,8 +859,8 @@ def first_rows(res, B):
 @pytest.mark.parametrize("code", list(GOLDEN_CODES))
 def test_compiled_decode_equals_numpy_engine_across_frame_blocks(code):
     spec = GOLDEN_CODES[code]
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, max(BLOCK_BATCHES), 1.5, 31)
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, max(BLOCK_BATCHES), 1.5, 31)
     scan_family = ("scan", "pc-scan", "pc-scan-damped", "csr-scan")
     builds = [("sc", "-")] + [(name, s) for s in ("sequential", "literal") for name in scan_family]
     for name, schedule in builds:
@@ -877,14 +881,14 @@ def test_compiled_decode_takes_integer_damping_and_any_batch_layout():
     """Integer damping factors and F-ordered or strided batches, which the
     numpy engine takes as they are, decode bitwise alike on the compiled one."""
     spec = GOLDEN_CODES["64-fc"]
-    rm, pcs = build_code(spec)
-    _, llr = noisy_llrs(spec, rm, pcs, 2 * FRAME_BLOCK + 3, 1.5, 33)
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 2 * FRAME_BLOCK + 3, 1.5, 33)
     fortran = np.asfortranarray(llr)
     layouts = {"F-ordered": fortran, "row-strided": llr[::2], "strided frame": fortran[3]}
     for damping in (DampingConfig((1,), (0,)), DampingConfig((1, 0), (0, 1))):
-        dec = PcScanDecoder(rm, pcs, damping)
+        dec = PcScanDecoder(rm, L, damping)
         with numpy_engine():
-            ref = PcScanDecoder(rm, pcs, damping)
+            ref = PcScanDecoder(rm, L, damping)
         for name, batch in layouts.items():
             assert result_digest(dec.decode(batch, 3)) == result_digest(ref.decode(batch, 3)), (damping, name)
 
@@ -918,11 +922,11 @@ def test_compiled_clamp_of_infinite_and_huge_llrs_equals_the_numpy_engine():
 @pytest.mark.parametrize("kind", ["sc", "scan", "pc-scan", "csr-scan"])
 def test_empty_batch_gives_empty_results_on_both_engines(kind):
     spec = CodeSpec(N=64, K=32) if kind == "scan" else GOLDEN_CODES["64-fc"]
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     dec = DecoderConfig(kind=kind, t_max=1 if kind == "sc" else 3)
-    results = [make_decoder(rm, pcs, dec).decode(np.empty((0, 64)), dec.iterations)]
+    results = [make_decoder(rm, L, dec).decode(np.empty((0, 64)), dec.iterations)]
     with numpy_engine():
-        results.append(make_decoder(rm, pcs, dec).decode(np.empty((0, 64)), dec.iterations))
+        results.append(make_decoder(rm, L, dec).decode(np.empty((0, 64)), dec.iterations))
     for res in results:
         assert res.info_bits.shape == (0, 32) and res.info_bits.dtype == np.uint8
         for field in (res.leaf_posteriors, res.coded_extrinsics, res.coded_posteriors):
@@ -939,13 +943,13 @@ def test_one_decoder_decodes_from_several_threads_at_once(kind, engine):
     decoded through one instance from 4 threads give the bits of decoding
     them one after another."""
     spec = GOLDEN_CODES["64-none" if kind == "scan" else "64-fc"]
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     dec = DecoderConfig(kind=kind, t_max=1 if kind == "sc" else 3)
     with numpy_engine() if engine == "numpy" else nullcontext():
-        decoder = make_decoder(rm, pcs, dec)
+        decoder = make_decoder(rm, L, dec)
     if decoder.engine != engine:
         pytest.skip("no compiled tree pass on this platform")
-    batches = [noisy_llrs(spec, rm, pcs, 40 + 7 * i, 1.5, 900 + i)[1] for i in range(8)]
+    batches = [noisy_llrs(spec, rm, L, 40 + 7 * i, 1.5, 900 + i)[1] for i in range(8)]
     want = [result_digest(decoder.decode(b, dec.iterations)) for b in batches]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the numpy engine's traversal too
@@ -1091,8 +1095,8 @@ codes = [(code, spec, (300, 1, t.FRAME_BLOCK + 1)) for code, spec in t.GOLDEN_CO
 codes += [(code, spec, (1, t.FRAME_BLOCK, t.FRAME_BLOCK + 1)) for code, spec in t.SMALLEST_CODES.items()]
 changed = []
 for code, spec, batches in codes:
-    rm, pcs = t.build_code(spec)
-    _, llr = t.noisy_llrs(spec, rm, pcs, max(batches), 1.5, 7)
+    rm, L = t.build_code(spec)
+    _, llr = t.noisy_llrs(spec, rm, L, max(batches), 1.5, 7)
     kinds = [("sc", "sequential")] + [(k, s) for k in ("pc-scan", "csr-scan") for s in ("sequential", "literal")]
     for kind, schedule in kinds:
         dec = DecoderConfig(kind, 2, schedule=schedule)
@@ -1100,7 +1104,7 @@ for code, spec, batches in codes:
             digests = set()
             for lib in libs:
                 treepass.load = lambda: lib
-                digests.add(t.result_digest(make_decoder(rm, pcs, dec).decode(frames, dec.iterations)))
+                digests.add(t.result_digest(make_decoder(rm, L, dec).decode(frames, dec.iterations)))
             if len(digests) != 1:
                 changed.append((code, kind, schedule, frames.shape))
 print(changed)

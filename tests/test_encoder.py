@@ -20,9 +20,10 @@ def small_pc_code():
 
 def test_precode_all_zero_is_identity():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
+    pcs = derive_pc_structure(rm, L)
     s = np.zeros(64, dtype=np.uint8)
-    assert not csr_precode(s, rm, pcs.L).any()
+    assert not csr_precode(s, rm, L).any()
     assert not direct_precode(s, pcs).any()
 
 
@@ -37,10 +38,11 @@ def test_precode_empty_check_set_gives_zero():
 
 def test_precode_single_one_hits_exactly_its_checkers():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
+    pcs = derive_pc_structure(rm, L)
     s = np.zeros(64, dtype=np.uint8)
     s[15] = 1
-    q = csr_precode(s, rm, pcs.L)
+    q = csr_precode(s, rm, L)
     for u, iu in pcs.checked_sets.items():
         assert q[u] == (1 if 15 in iu else 0)
     assert set(pcs.checking_sets[15]) == {int(u) for u in rm.pc_positions if q[u] == 1}
@@ -67,11 +69,12 @@ def test_precode_rejects_bits_off_info_support():
     ],
 )
 def test_precode_oracle_equivalence_randomized(spec):
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
+    pcs = derive_pc_structure(rm, L)
     rng = np.random.default_rng(1234)
     s = np.zeros((500, spec.N), dtype=np.uint8)
     s[:, rm.info_positions] = rng.integers(0, 2, (500, spec.K), dtype=np.uint8)
-    assert np.array_equal(csr_precode(s, rm, pcs.L), direct_precode(s, pcs))
+    assert np.array_equal(csr_precode(s, rm, L), direct_precode(s, pcs))
 
 
 def test_precode_oracle_equivalence_exhaustive_n8():
@@ -139,15 +142,15 @@ def test_transform_rejects_bad_length():
 
 def test_encode_all_zero():
     spec = CodeSpec(N=32, K=16, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
-    assert not encode(np.zeros(16, dtype=np.uint8), spec, rm, pcs).any()
+    rm, L = build_code(spec)
+    assert not encode(np.zeros(16, dtype=np.uint8), spec, rm, L).any()
 
 
 def test_encode_rejects_wrong_length():
     spec = CodeSpec(N=32, K=16, scheme="fc", L=3)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     with pytest.raises(ValueError):
-        encode(np.zeros(15, dtype=np.uint8), spec, rm, pcs)
+        encode(np.zeros(15, dtype=np.uint8), spec, rm, L)
 
 
 @pytest.mark.parametrize(
@@ -159,30 +162,32 @@ def test_encode_rejects_wrong_length():
     ],
 )
 def test_encoder_is_linear(spec):
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
     rng = np.random.default_rng(5)
     a = rng.integers(0, 2, (100, spec.K), dtype=np.uint8)
     b = rng.integers(0, 2, (100, spec.K), dtype=np.uint8)
-    assert np.array_equal(encode(a ^ b, spec, rm, pcs), encode(a, spec, rm, pcs) ^ encode(b, spec, rm, pcs))
+    assert np.array_equal(encode(a ^ b, spec, rm, L), encode(a, spec, rm, L) ^ encode(b, spec, rm, L))
 
 
 def test_encode_matches_dense_pipeline():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
+    pcs = derive_pc_structure(rm, L)
     rng = np.random.default_rng(17)
     msg = rng.integers(0, 2, (50, 32), dtype=np.uint8)
     s = np.zeros((50, 64), dtype=np.uint8)
     s[:, rm.info_positions] = msg
     expected = dense_transform(direct_precode(s, pcs))
-    assert np.array_equal(encode(msg, spec, rm, pcs), expected)
+    assert np.array_equal(encode(msg, spec, rm, L), expected)
 
 
 def test_every_codeword_satisfies_pc_constraints():
     spec = CodeSpec(N=64, K=32, scheme="fc", A=0.5, L=5)
-    rm, pcs = build_code(spec)
+    rm, L = build_code(spec)
+    pcs = derive_pc_structure(rm, L)
     rng = np.random.default_rng(23)
     msg = rng.integers(0, 2, (200, 32), dtype=np.uint8)
-    x = encode(msg, spec, rm, pcs)
+    x = encode(msg, spec, rm, L)
     q = polar_transform(x)  # involution recovers the pre-transform sequence
     for u, iu in pcs.checked_sets.items():
         parity = np.bitwise_xor.reduce(q[:, list(iu)], axis=1) if iu else 0

@@ -143,6 +143,23 @@ def test_same_config_reproduces_exactly():
     ]
 
 
+def test_list_valued_config_fields_run_as_their_tuples():
+    """Library callers may pass lists; the configs store tuples, so sim's
+    per-spec and per-decoder caches can hash them."""
+    as_tuples = small_config(
+        spec=CodeSpec(N=32, K=16, scheme="mc", L=3, mc_weights=(1, 2)),
+        decoder=DecoderConfig(kind="pc-scan", t_max=2, lambda_p=(1.0, 0.5), lambda_i=(0.5,)),
+    )
+    as_lists = small_config(
+        spec=CodeSpec(N=32, K=16, scheme="mc", L=3, mc_weights=[1, 2]),
+        decoder=DecoderConfig(kind="pc-scan", t_max=2, lambda_p=[1.0, 0.5], lambda_i=[0.5]),
+    )
+    assert as_lists == as_tuples and hash(as_lists) == hash(as_tuples)
+    assert as_lists.spec.mc_weights == (1, 2) and as_lists.decoder.lambda_p == (1.0, 0.5)
+    counts = [[(c.frames, c.frame_errors, c.bit_errors) for c in run_cell(cfg, 2.0)] for cfg in (as_lists, as_tuples)]
+    assert counts[0] == counts[1]
+
+
 def test_results_independent_of_workers():
     base = small_config(max_frames=600, batch_frames=150)
     counts = {}
