@@ -572,11 +572,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CliError, ValueError, MemoryError) as e:  # numpy's MemoryError names the size it asked for
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -40,12 +40,12 @@ decisions). It walks the frames in fixed-size blocks, each in its own
 frame-minor scratch buffers, kept in cache across the passes, so its
 scratch memory does not grow with the batch; they hold every beta level
 but, between the leaf and root levels, only the alphas of the node being
-visited's children (see treepass.c). It writes the decisions,
-leaf posteriors, coded extrinsics and coded posteriors into arrays numpy
-allocates; the decoder hands it those and its own fixed arrays (rate-0
-nodes, leaf kinds, info positions, addresses read once when it is
-built) as bare addresses, so a call checks no array flags. The
-first decoder built in a process builds the library with gcc
+visited's children (see treepass.c). It writes the decisions and one
+(3, B, N) soft block (leaf posteriors, coded extrinsics, coded
+posteriors) into arrays numpy allocates; the decoder hands it those and
+its own fixed arrays (rate-0 nodes, leaf kinds, info positions, addresses
+read once when it is built) as bare addresses, so a call checks no array
+flags. The first decoder built in a process builds the library with gcc
 (-O3 -ffp-contract=off, no fast-math) into $XDG_CACHE_HOME/pcpolar or
 ~/.cache/pcpolar, keyed by a SHA-256 of source and flags, and loads it
 through ctypes; see treepass.py. Where it cannot be built or loaded, the
@@ -66,7 +66,9 @@ import numpy as np
 
 from . import treepass
 from .channel import LLR_MAX
-from .construction import LEAF_CHECKED, LEAF_FROZEN, LEAF_PC, LEAF_UNCHECKED, PC, RoleMap, classify_leaves
+from .construction import (
+    LEAF_CHECKED, LEAF_FROZEN, LEAF_PC, LEAF_UNCHECKED, PC, RoleMap, check_register_length, classify_leaves,
+)
 
 SEQUENTIAL = "sequential"
 SCHEDULES = (SEQUENTIAL, "literal")
@@ -148,8 +150,8 @@ class DecodeResult:
 
     iteration_info_bits holds the hard decisions snapshot after each
     iteration (a single snapshot for SC), so one decode pass yields the
-    per-iteration statistics of a simulation cell.
-    """
+    per-iteration statistics of a simulation cell. The soft fields are
+    C-contiguous planes of one block, so each keeps the others alive."""
 
     info_bits: np.ndarray
     leaf_posteriors: np.ndarray
@@ -159,13 +161,13 @@ class DecodeResult:
     iteration_info_bits: tuple[np.ndarray, ...] = ()
 
 
-def _shaped_result(snapshots, leaf_posteriors, coded_extrinsics, coded_posteriors, single) -> DecodeResult:
-    """A DecodeResult from (B, ...) arrays and per-pass decisions, taking
-    row 0 of each when the input was a single frame."""
-    soft = (leaf_posteriors, coded_extrinsics, coded_posteriors)
+def _shaped_result(snapshots, soft, single) -> DecodeResult:
+    """A DecodeResult from per-pass (B, K) decisions and the (3, B, N) soft
+    block (leaf posteriors, coded extrinsics, coded posteriors), taking
+    frame 0 of each when the input was a single frame."""
     if single:
         snapshots = [s[0] for s in snapshots]
-        soft = tuple(a[0] for a in soft)
+        soft = soft[:, 0]
     return DecodeResult(
         snapshots[-1], *soft, iterations_run=len(snapshots), iteration_info_bits=tuple(snapshots)
     )
@@ -252,6 +254,7 @@ class _ScanFamilyDecoder:
         self._rate0 = np.zeros((self.n + 1, self.N), dtype=np.uint8)
         for s in range(self.n + 1):
             self._rate0[s, : self.N >> s] = frozen.reshape(-1, 1 << s).all(axis=1)
+        self._rate0[self.n, 0] &= not hard  # SC's coded extrinsics stay zero even with no info leaf
         self._lib = treepass.load()
         self.engine = "numpy" if self._lib is None else "c"
         # the compiled pass takes these fixed arrays by address, read once here
@@ -262,25 +265,22 @@ class _ScanFamilyDecoder:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         root, single = _as_llr_batch(llrs, self.N)
         B = root.shape[0]
-        lam_p = np.array([self.damping.lambda_p_at(t) for t in range(t_max)], dtype=np.float64)
-        lam_i = np.array([self.damping.lambda_i_at(t) for t in range(t_max)], dtype=np.float64)
+        d = self.damping
+        lam = np.array([[at(t) for t in range(t_max)] for at in (d.lambda_p_at, d.lambda_i_at)], dtype=np.float64)
+        soft = np.empty((3, B, self.N))  # leaf posteriors, coded extrinsics, coded posteriors
         if self._lib is not None:
             K = len(self._info_pos)
             decisions = np.empty((t_max, B, K), dtype=np.uint8)
-            leaf_post, coded = np.empty((B, self.N)), np.empty((B, self.N))
-            # SC's coded extrinsics are all zero, and the pass does not write them
-            extr = np.zeros((B, self.N)) if self._hard else np.empty((B, self.N))
             rate0, kind, info = self._addrs
             failed = self._lib.scan_decode(
                 self.n, B, t_max, self._sequential, self._hard, root.ctypes.data, LLR_MAX, rate0, kind, self.L,
-                lam_p.ctypes.data, lam_i.ctypes.data, info, K, decisions.ctypes.data, leaf_post.ctypes.data,
-                extr.ctypes.data, coded.ctypes.data,
+                lam.ctypes.data, info, K, decisions.ctypes.data, soft.ctypes.data,
             )
             if failed == -2:
                 raise ValueError("LLRs must not be NaN")
             if failed:
                 raise MemoryError("cannot allocate the compiled tree pass's scratch buffers")
-            return _shaped_result(list(decisions), leaf_post, extr, coded, single)
+            return _shaped_result(list(decisions), soft, single)
         if np.isnan(root).any():
             raise ValueError("LLRs must not be NaN")
         root = np.clip(root, -LLR_MAX, LLR_MAX)
@@ -293,13 +293,14 @@ class _ScanFamilyDecoder:
         snapshots = []
         for t in range(t_max):
             reg.fill(np.inf)
-            self._traverse((alpha, beta, tmp, reg, cache, lam_p[t], lam_i[t]), self.n, 0)
+            self._traverse((alpha, beta, tmp, reg, cache, lam[0, t], lam[1, t]), self.n, 0)
             snapshots.append(self._hard_info(alpha, beta))
-        leaf_post = np.ascontiguousarray((alpha[0] + beta[0]).T)
-        if self._hard:  # SC's contract: zero coded extrinsics, the channel LLRs as coded posteriors
-            return _shaped_result(snapshots, leaf_post, np.zeros((B, self.N)), root, single)
-        extr = np.ascontiguousarray(beta[self.n].T)
-        return _shaped_result(snapshots, leaf_post, extr, root + extr, single)
+        soft[0] = (alpha[0] + beta[0]).T
+        soft[1] = beta[self.n].T  # SC's +0.0: its root's beta is never updated
+        soft[2] = root  # SC's coded posteriors: the clamped LLRs, -0.0 kept
+        if not self._hard:
+            soft[2] += soft[1]
+        return _shaped_result(snapshots, soft, single)
 
     def _hard_info(self, alpha, beta) -> np.ndarray:
         post = alpha[0][self._info_pos] + beta[0][self._info_pos]
@@ -420,7 +421,9 @@ class ScDecoder(_ScanFamilyDecoder):
 
 def make_decoder(rolemap: RoleMap, L: int, dec: DecoderConfig):
     """The decoder of kind `dec.kind` for the code (rolemap, L); call its
-    decode(llrs, dec.iterations)."""
+    decode(llrs, dec.iterations). L is checked for every kind, SCAN's too,
+    which runs on one register."""
+    check_register_length(L)
     build = {
         "sc": lambda: ScDecoder(rolemap, L),
         "scan": lambda: ScanDecoder(rolemap, dec.schedule),

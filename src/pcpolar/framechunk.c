@@ -236,11 +236,11 @@ int sampler_check(void)
  * little-endian uint32 words are seed: messages (B, K) and channel LLRs
  * (B, N). Frame f's entropy is those words, then f's: one below 2^32, two
  * above. role holds each position's role, K of them INFO, and L is the
- * register length. Noiseless frames get +-llr_max and draw no noise;
- * the others get 2 * (1 - 2x + sigma * noise) / sigma^2, in numpy's order.
+ * register length. Sigma 0.0 makes noiseless frames: +-llr_max, no noise
+ * drawn; else 2 * (1 - 2x + sigma * noise) / sigma^2, in numpy's order.
  * Returns 0, or -1 if the scratch buffer cannot be allocated. */
 int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint32_t *seed, int64_t nseed, int64_t lo,
-                const int8_t *role, int noiseless, double sigma, double llr_max, uint8_t *msgs, double *llrs)
+                const int8_t *role, double sigma, double llr_max, uint8_t *msgs, double *llrs)
 {
     int64_t nraw = (K + 7) / 8;
     /* the raw words, then the info positions, the codeword and the chain registers */
@@ -281,7 +281,7 @@ int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint32_t *seed
             for (int64_t j = 0; j < N; j += 2 * h)
                 for (int64_t t = j; t < j + h; t++)
                     x[t] ^= x[t + h];
-        if (noiseless) {
+        if (sigma == 0.0) {
             for (int64_t i = 0; i < N; i++)
                 llr[i] = x[i] ? -llr_max : llr_max;
             continue;

@@ -34,6 +34,8 @@ from .construction import CodeSpec, build_code
 from .decoders import DECODER_KINDS, DecoderConfig, make_decoder
 from .encoder import encode
 
+MAX_WORKERS = 256  # the most chunk threads a SimConfig may ask for; results do not depend on the count
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -67,8 +69,8 @@ class SimConfig:
             raise ValueError("min_frame_errors must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {self.workers}")
         if self.batch_frames < 1:
             raise ValueError("batch_frames must be >= 1")
 
@@ -170,8 +172,8 @@ def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.n
     msgs = np.empty((hi - lo, spec.K), dtype=np.uint8)
     llr = np.empty((hi - lo, spec.N))
     failed = lib.frame_chunk(
-        hi - lo, spec.N, spec.K, L, seed.ctypes.data, len(seed), lo, rolemap.role.ctypes.data, config.noiseless,
-        sigma, LLR_MAX, msgs.ctypes.data, llr.ctypes.data,
+        hi - lo, spec.N, spec.K, L, seed.ctypes.data, len(seed), lo, rolemap.role.ctypes.data, sigma, LLR_MAX,
+        msgs.ctypes.data, llr.ctypes.data,
     )
     if failed:
         raise MemoryError("cannot allocate the compiled frame chunk's scratch buffer")

@@ -4,10 +4,10 @@
  *
  * scan_decode walks the frames in blocks of BLOCK. For each block it loads
  * the frames' root LLRs into scratch alpha/beta buffers, runs all t_max
- * passes on them and writes the block's per-pass decisions, leaf
- * posteriors and coded extrinsics, so a block's scratch stays in cache
- * across the passes and the scratch memory does not grow with B. Frames
- * are independent, so any block size gives the same bits.
+ * passes on them and writes the block's per-pass decisions and its rows of
+ * the soft outputs, so a block's scratch stays in cache across the passes
+ * and the scratch memory does not grow with B. Frames are independent, so
+ * any block size gives the same bits.
  *
  * Inside a block every buffer is frame-minor, as in the numpy engine: row i
  * of a level holds index i of every frame, so a node's halves are
@@ -158,7 +158,7 @@ CLONES static void traverse(const pass_t *p, int s, int64_t base)
     if (!p->sequential)
         traverse(p, s - 1, base);
     traverse(p, s - 1, base + len / 2);
-    if (p->hard && len == p->N) /* SC outputs no coded extrinsics: the root's beta goes unread */
+    if (p->hard && len == p->N) /* SC's coded extrinsics are zero: the root's beta keeps its +0.0 */
         return;
     /* beta_lo = f(b_lo, a_hi + b_hi); beta_hi = f(b_lo, a_lo) + b_hi */
     f_of_sum(beta + lo, b_lo, a_hi, b_hi, half);
@@ -167,24 +167,24 @@ CLONES static void traverse(const pass_t *p, int s, int64_t base)
 
 /* Decode B frames with t_max passes. root is the (B, N) channel LLRs,
  * which each block loads clamped to +-llr_max (the numpy engine's clip);
- * lam_p and lam_i hold each pass's damping; info holds the K info leaves.
- * hard makes an info leaf feed back its decision as +-inf: one sequential
- * pass of it with lam_p 1 and lam_i 0 is SC, whose alpha_r is a_hi +- a_lo.
- * Writes decisions (t_max, B, K), the leaf posteriors alpha[0] + beta[0]
- * and the coded posteriors, the clamped root plus beta[n] (the clamped
- * root alone with hard), and, unless hard, the coded extrinsics beta[n],
- * all (B, N); with hard it neither computes nor writes beta[n]. Returns 0,
- * -1 if the scratch buffers cannot be allocated, or -2 if an LLR is NaN
- * (the outputs of blocks before its own are then written). */
+ * lam is (2, t_max), each pass's lambda_p, then each pass's lambda_i; info
+ * holds the K info leaves. hard makes an info leaf feed back its decision
+ * as +-inf: one sequential pass of it with lambda_p 1 and lambda_i 0 is SC,
+ * whose alpha_r is a_hi +- a_lo. Writes the decisions (t_max, B, K) and
+ * the soft block (3, B, N): the leaf posteriors alpha[0] + beta[0], the
+ * coded extrinsics beta[n] (with hard, the +0.0 of the memset: traverse
+ * never updates an unpruned root) and the coded posteriors, the clamped
+ * root plus beta[n] (the clamped root alone with hard). Returns 0, -1 if
+ * the scratch buffers cannot be allocated, or -2 if an LLR is NaN (the
+ * outputs of blocks before its own are then written). */
 CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int hard, const double *root,
-                       double llr_max, const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam_p,
-                       const double *lam_i, const int64_t *info, int64_t K, uint8_t *decisions, double *post,
-                       double *extr, double *coded)
+                       double llr_max, const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam,
+                       const int64_t *info, int64_t K, uint8_t *decisions, double *soft)
 {
     int64_t N = (int64_t)1 << n;
     int use_cache = 0;
     for (int64_t t = 0; t < t_max; t++)
-        use_cache |= lam_i[t] != 0;
+        use_cache |= lam[t_max + t] != 0;
     pass_t p = {.N = N, .L = L, .sequential = sequential, .use_cache = use_cache, .hard = hard,
                 .rate0 = rate0, .kind = kind};
     /* alpha rows: level 0, level n, then level s in 1..n-1 at 2N + 2^(s+1) - 4 */
@@ -200,6 +200,7 @@ CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int 
     if (!scratch)
         return -1;
     p.alpha = scratch;
+    double *post = soft, *extr = soft + B * N, *coded = extr + B * N;
     for (int64_t f0 = 0; f0 < B; f0 += BLOCK) {
         int64_t nb = B - f0 < BLOCK ? B - f0 : BLOCK, nN = N * nb;
         p.B = nb;
@@ -227,8 +228,8 @@ CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int 
         }
         for (int64_t t = 0; t < t_max; t++) {
             fill(p.reg, INFINITY, L * nb);
-            p.lam_p = lam_p[t];
-            p.lam_i = lam_i[t];
+            p.lam_p = lam[t];
+            p.lam_i = lam[t_max + t];
             traverse(&p, (int)n, 0);
             uint8_t *dec = decisions + (t * B + f0) * K;
             for (int64_t k = 0; k < K; k++) {
@@ -241,9 +242,8 @@ CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int 
             for (int64_t b = 0; b < nb; b++) {
                 int64_t out = (f0 + b) * N + i, j = i * nb + b;
                 post[out] = alpha0[j] + beta0[j];
+                extr[out] = beta_root[j];
                 coded[out] = hard ? alpha_root[j] : alpha_root[j] + beta_root[j];
-                if (!hard)
-                    extr[out] = beta_root[j];
             }
     }
     free(scratch);

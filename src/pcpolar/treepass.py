@@ -20,8 +20,8 @@ The tree pass exports one entry point, `scan_decode`: a whole decode of a
 batch, all passes, in one call (typed in `open_library`). It runs the
 frames in blocks of a fixed size in its own scratch buffers, so its
 memory does not grow with the batch; it checks the LLRs for NaN and
-clamps them as it loads each block, and writes the decisions and soft
-outputs into numpy-owned arrays. It sees the code only as its rate-0
+clamps them as it loads each block, and writes the decisions and one
+block of soft outputs into numpy-owned arrays. It sees the code only as its rate-0
 nodes, leaf kinds, L and info positions: a checked info leaf finds its
 parity checks by walking its own chain (see treepass.c).
 
@@ -118,13 +118,12 @@ def open_library(path: Path):
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib = ctypes.CDLL(str(path))
     # n, B, t_max, sequential, hard, root LLRs (B, N) float64, LLR_MAX,
-    # rate0 (n+1, N) uint8, leaf kinds (N,) int8, L, lambda_p (t_max,) float64,
-    # lambda_i (t_max,) float64, info positions (K,) int64, K, decisions
-    # (t_max, B, K) uint8, then (B, N) float64: leaf posteriors, coded
-    # extrinsics, coded posteriors
+    # rate0 (n+1, N) uint8, leaf kinds (N,) int8, L, damping (2, t_max)
+    # float64 (lambda_p, then lambda_i), info positions (K,) int64, K,
+    # decisions (t_max, B, K) uint8, soft outputs (3, B, N) float64 (leaf
+    # posteriors, coded extrinsics, coded posteriors)
     lib.scan_decode.argtypes = [
-        i64, i64, i64, ctypes.c_int, ctypes.c_int, ptr, ctypes.c_double, ptr, ptr, i64, ptr, ptr, ptr, i64,
-        ptr, ptr, ptr, ptr,
+        i64, i64, i64, ctypes.c_int, ctypes.c_int, ptr, ctypes.c_double, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr,
     ]
     lib.scan_decode.restype = ctypes.c_int  # 0, -1 when out of memory, -2 on a NaN LLR
     return lib
@@ -161,10 +160,9 @@ def open_frame_library(path: Path):
     lib = ctypes.CDLL(str(path))
     # B, N, K, L, the master seed's little-endian uint32 words and their count,
     # the first frame index, roles (N,) int8 (construction.FROZEN, INFO, PC),
-    # noiseless, sigma, LLR_MAX, messages (B, K) uint8, LLRs (B, N) float64
-    lib.frame_chunk.argtypes = [
-        i64, i64, i64, i64, ptr, i64, i64, ptr, ctypes.c_int, ctypes.c_double, ctypes.c_double, ptr, ptr,
-    ]
+    # sigma (0.0 for noiseless frames), LLR_MAX, messages (B, K) uint8, LLRs
+    # (B, N) float64
+    lib.frame_chunk.argtypes = [i64, i64, i64, i64, ptr, i64, i64, ptr, ctypes.c_double, ctypes.c_double, ptr, ptr]
     lib.frame_chunk.restype = ctypes.c_int  # 0, or -1 when out of memory
     lib.sampler_check.argtypes = []
     lib.sampler_check.restype = ctypes.c_int  # 0 when the inline sampler draws numpy's normals

@@ -78,10 +78,13 @@ def test_frame_rng_is_deterministic_per_frame():
 
 
 def frame_rng_loop(seed, lo, hi, K, N):
+    """The frames as the seeding rule defines them, spelled through numpy's
+    own seeding: default_rng([seed, f]) is PCG64 over SeedSequence([seed,
+    f]), with no call into channel.frame_rng."""
     msgs = np.empty((hi - lo, K), dtype=np.uint8)
     noise = np.empty((hi - lo, N))
     for i, f in enumerate(range(lo, hi)):
-        g = frame_rng(seed, f)
+        g = np.random.default_rng([seed, f])
         msgs[i] = g.integers(0, 2, K, dtype=np.uint8)
         noise[i] = g.standard_normal(N)
     return msgs, noise

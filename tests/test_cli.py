@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcpolar import __version__, treepass
+from pcpolar import __version__, sim, treepass
 from pcpolar.channel import channel_llrs, modulate_bpsk
 from pcpolar.cli import main, read_result_csv, snr_at_fer
 from pcpolar.construction import CodeSpec, build_code
@@ -551,6 +551,30 @@ def test_bad_configs_are_config_errors(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "sim.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "message",
+    # as numpy words it where a chunk's batch_frames x N arrays exceed the commit limit, and none
+    ["Unable to allocate 64.0 GiB for an array with shape (134217728, 1024) and data type float64", ""],
+)
+def test_simulate_reports_a_memory_error_as_one_line(tmp_path, capsys, monkeypatch, message):
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sim, "chunk_llrs", refuse)
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "sim")]) == 1
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_rejects_more_workers_than_the_cap(tmp_path, capsys):
+    out = str(tmp_path / "sim")
+    argv = ["simulate", "--config", write_config(tmp_path), "--out", out, "--workers", "257"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: invalid sim config: workers must be in [1, 256], got 257\n"
     assert not (tmp_path / "sim.csv").exists()
 
 

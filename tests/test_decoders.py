@@ -140,6 +140,21 @@ def test_sc_noiseless_all_zero():
     assert res.iterations_run == 1
 
 
+@pytest.mark.parametrize("roles", [[FROZEN] * 16, [FROZEN] * 8 + [PC] * 8])
+def test_sc_on_a_code_without_info_leaves_keeps_zero_extrinsics(roles):
+    # every leaf is frozen-kind, so the root is a rate-0 node; SC never
+    # updates its root's beta, so the decoder does not prune it either
+    rm = RoleMap(np.array(roles, dtype=np.int8))
+    llr = np.array([-0.0, 0.0, -1.5, 2.0] * 4)
+    for engine in (nullcontext(), numpy_engine()):
+        with engine:
+            res = ScDecoder(rm, 3).decode(llr)
+        assert res.info_bits.shape == (0,)
+        assert np.array_equal(res.leaf_posteriors, np.full(16, np.inf))
+        assert res.coded_extrinsics.tobytes() == np.zeros(16).tobytes()
+        assert res.coded_posteriors.tobytes() == llr.tobytes()  # -0.0 kept
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -521,14 +536,19 @@ def test_codec_rejects_a_register_length_below_one_or_a_chain_structure():
     builds = [lambda L: ScDecoder(rm, L), lambda L: PcScanDecoder(rm, L), lambda L: CsrScanDecoder(rm, L)]
     builds += [lambda L, k=kind: make_decoder(rm, L, DecoderConfig(kind=k)) for kind in ("sc", "pc-scan", "csr-scan")]
     builds += [lambda L: encode(msg, spec, rm, L), lambda L: csr_precode(s, rm, L)]
-    for build in builds:
-        build(L)
+    cases = [(rm, L, build) for build in builds]
+    # SCAN runs on one register, yet make_decoder checks the L it is given;
+    # a code without PC bits, since ScanDecoder rejects PC codes anyway
+    none_rm, none_L = build_code(CodeSpec(N=16, K=8))
+    cases.append((none_rm, none_L, lambda L: make_decoder(none_rm, L, DecoderConfig(kind="scan"))))
+    for code, good, build in cases:
+        build(good)
         for bad in (0, -1):
             with pytest.raises(ValueError, match="L must be >= 1"):
                 build(bad)
         # the old API's PcStructure where L belongs
         with pytest.raises(TypeError):
-            build(derive_pc_structure(rm, L))
+            build(derive_pc_structure(code, good))
 
 
 # ---------------------------------------------------------------------------

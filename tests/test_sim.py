@@ -77,6 +77,10 @@ def test_sim_config_validation():
     small_config(max_frames=2**63)
     with pytest.raises(ValueError):
         small_config(workers=0)
+    # each worker is a thread; only configs are built here, so none starts
+    small_config(workers=256)
+    with pytest.raises(ValueError, match=r"workers must be in \[1, 256\], got 257"):
+        small_config(workers=257)
     with pytest.raises(ValueError, match="master_seed"):
         small_config(master_seed=-1)
     small_config(master_seed=0)
