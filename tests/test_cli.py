@@ -556,7 +556,7 @@ def test_bad_configs_are_config_errors(tmp_path, capsys, name):
 
 @pytest.mark.parametrize(
     "message",
-    # as numpy words it where a chunk's batch_frames x N arrays exceed the commit limit, and none
+    # numpy's words where a chunk's batch_frames x N arrays exceed the commit limit, and a bare MemoryError
     ["Unable to allocate 64.0 GiB for an array with shape (134217728, 1024) and data type float64", ""],
 )
 def test_simulate_reports_a_memory_error_as_one_line(tmp_path, capsys, monkeypatch, message):
