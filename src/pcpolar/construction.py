@@ -33,9 +33,13 @@ SCHEMES = ("none", "fc", "mc", "nr")
 PW_BETA_EXPONENT = 0.25
 
 
-def _check_power_of_two(N: int) -> int:
-    if N < 4 or (N & (N - 1)) != 0:
-        raise ValueError(f"N must be a power of two >= 4, got {N}")
+N_MAX = 2**16  # 5G NR uses N <= 1024; pw_reliability's (N, log2 N) matrix is 3.2 GB at 2**24
+
+
+def check_code_length(N: int) -> int:
+    """log2 N for a power of two N from 4 to N_MAX; ValueError otherwise."""
+    if not 4 <= N <= N_MAX or (N & (N - 1)) != 0:
+        raise ValueError(f"N must be a power of two from 4 to {N_MAX}, got {N}")
     return N.bit_length() - 1
 
 
@@ -46,7 +50,7 @@ class CodeSpec:
     Parameters
     ----------
     N : int
-        Mother code length, a power of two.
+        Mother code length, a power of two from 4 to N_MAX (2**16).
     K : int
         Number of information bits, 0 < K <= N.
     scheme : str
@@ -77,7 +81,7 @@ class CodeSpec:
     nr_npc_wm: int = 1
 
     def __post_init__(self):
-        _check_power_of_two(self.N)
+        check_code_length(self.N)
         # K == N (no frozen bits) is a legal degenerate rate-1 code.
         if not 0 < self.K <= self.N:
             raise ValueError(f"K must satisfy 0 < K <= N, got K={self.K}, N={self.N}")
@@ -184,7 +188,7 @@ def pw_reliability(N: int) -> ReliabilitySequence:
     sum_j b_j * 2^(j/4). The order sorts ascending by weight, ties by
     ascending index, so the K most reliable indices are order[-K:].
     """
-    n = _check_power_of_two(N)
+    n = check_code_length(N)
     beta = 2.0 ** PW_BETA_EXPONENT
     i = np.arange(N)
     bits = (i[:, None] >> np.arange(n)[None, :]) & 1
@@ -209,7 +213,7 @@ def coefficient_to_register_length(N: int, A: float) -> int:
     would exceed N, where every PC bit is frozen anyway. A * sqrt(N) is
     then at most N, so the prime search ends below 2N.
     """
-    _check_power_of_two(N)
+    check_code_length(N)
     if not 0 < A <= np.sqrt(N):
         raise ValueError(f"coefficient A must lie in (0, sqrt(N)] = (0, {np.sqrt(N):g}], got {A}")
     return _next_prime(A * np.sqrt(N))

@@ -42,9 +42,9 @@ scratch memory does not grow with the batch; they hold every beta level
 but, between the leaf and root levels, only the alphas of the node being
 visited's children (see treepass.c). It writes the decisions and one
 (3, B, N) soft block (leaf posteriors, coded extrinsics, coded
-posteriors) into arrays numpy allocates; the decoder hands it those and
-its own fixed arrays (rate-0 nodes, leaf kinds, info positions, addresses
-read once when it is built) as bare addresses, so a call checks no array
+posteriors; none with soft=False) into arrays numpy allocates; the
+decoder hands it those, its own fixed arrays and each t_max's damping
+(addresses read once) as bare addresses, so a call checks no array
 flags. The first decoder built in a process builds the library with gcc
 (-O3 -ffp-contract=off, no fast-math) into $XDG_CACHE_HOME/pcpolar or
 ~/.cache/pcpolar, keyed by a SHA-256 of source and flags, and loads it
@@ -67,7 +67,8 @@ import numpy as np
 from . import treepass
 from .channel import LLR_MAX
 from .construction import (
-    LEAF_CHECKED, LEAF_FROZEN, LEAF_PC, LEAF_UNCHECKED, PC, RoleMap, check_register_length, classify_leaves,
+    LEAF_CHECKED, LEAF_FROZEN, LEAF_PC, LEAF_UNCHECKED, PC, RoleMap, check_code_length, check_register_length,
+    classify_leaves,
 )
 
 SEQUENTIAL = "sequential"
@@ -151,25 +152,26 @@ class DecodeResult:
     iteration_info_bits holds the hard decisions snapshot after each
     iteration (a single snapshot for SC), so one decode pass yields the
     per-iteration statistics of a simulation cell. The soft fields are
-    C-contiguous planes of one block, so each keeps the others alive."""
+    C-contiguous planes of one block, so each keeps the others alive; all
+    three are None from decode(..., soft=False)."""
 
     info_bits: np.ndarray
-    leaf_posteriors: np.ndarray
-    coded_extrinsics: np.ndarray
-    coded_posteriors: np.ndarray
+    leaf_posteriors: np.ndarray | None
+    coded_extrinsics: np.ndarray | None
+    coded_posteriors: np.ndarray | None
     iterations_run: int
     iteration_info_bits: tuple[np.ndarray, ...] = ()
 
 
 def _shaped_result(snapshots, soft, single) -> DecodeResult:
     """A DecodeResult from per-pass (B, K) decisions and the (3, B, N) soft
-    block (leaf posteriors, coded extrinsics, coded posteriors), taking
-    frame 0 of each when the input was a single frame."""
+    block (leaf posteriors, coded extrinsics, coded posteriors) or None,
+    taking frame 0 of each when the input was a single frame."""
     if single:
         snapshots = [s[0] for s in snapshots]
-        soft = soft[:, 0]
+    planes = (None,) * 3 if soft is None else soft[:, 0] if single else soft
     return DecodeResult(
-        snapshots[-1], *soft, iterations_run=len(snapshots), iteration_info_bits=tuple(snapshots)
+        snapshots[-1], *planes, iterations_run=len(snapshots), iteration_info_bits=tuple(snapshots)
     )
 
 
@@ -239,12 +241,12 @@ class _ScanFamilyDecoder:
     ):
         if schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
+        self.n = check_code_length(rolemap.N)  # the N that CodeSpec takes
         self._kind = classify_leaves(rolemap, L)  # checks L
         self.rolemap = rolemap
         self.damping = damping
         self.schedule = schedule
         self.N = rolemap.N
-        self.n = self.N.bit_length() - 1
         self.L = L
         self._info_pos = np.ascontiguousarray(rolemap.info_positions, dtype=np.int64)
         self._sequential = schedule == SEQUENTIAL
@@ -259,28 +261,35 @@ class _ScanFamilyDecoder:
         self.engine = "numpy" if self._lib is None else "c"
         # the compiled pass takes these fixed arrays by address, read once here
         self._addrs = tuple(a.ctypes.data for a in (self._rate0, self._kind, self._info_pos))
+        self._lam = {}  # t_max -> its (2, t_max) damping (lambda_p row, lambda_i row) and that array's address
 
-    def decode(self, llrs, t_max: int = 1) -> DecodeResult:
+    def decode(self, llrs, t_max: int = 1, *, soft: bool = True) -> DecodeResult:
+        """t_max passes; soft=False makes and writes no soft block (the soft
+        fields are None), the decisions are bitwise the full decode's."""
         if t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         root, single = _as_llr_batch(llrs, self.N)
         B = root.shape[0]
-        d = self.damping
-        lam = np.array([[at(t) for t in range(t_max)] for at in (d.lambda_p_at, d.lambda_i_at)], dtype=np.float64)
-        soft = np.empty((3, B, self.N))  # leaf posteriors, coded extrinsics, coded posteriors
+        lam = self._lam.get(t_max)
+        if lam is None:  # one dict write, so threads that race here store equal arrays
+            d = self.damping
+            rows = np.array([[at(t) for t in range(t_max)] for at in (d.lambda_p_at, d.lambda_i_at)], dtype=np.float64)
+            lam = self._lam[t_max] = rows, rows.ctypes.data
+        lam, lam_addr = lam
+        block = np.empty((3, B, self.N)) if soft else None  # leaf posteriors, coded extrinsics, coded posteriors
         if self._lib is not None:
             K = len(self._info_pos)
             decisions = np.empty((t_max, B, K), dtype=np.uint8)
             rate0, kind, info = self._addrs
             failed = self._lib.scan_decode(
                 self.n, B, t_max, self._sequential, self._hard, root.ctypes.data, LLR_MAX, rate0, kind, self.L,
-                lam.ctypes.data, info, K, decisions.ctypes.data, soft.ctypes.data,
+                lam_addr, info, K, decisions.ctypes.data, None if block is None else block.ctypes.data,
             )
             if failed == -2:
                 raise ValueError("LLRs must not be NaN")
             if failed:
                 raise MemoryError("cannot allocate the compiled tree pass's scratch buffers")
-            return _shaped_result(list(decisions), soft, single)
+            return _shaped_result(list(decisions), block, single)
         if np.isnan(root).any():
             raise ValueError("LLRs must not be NaN")
         root = np.clip(root, -LLR_MAX, LLR_MAX)
@@ -295,12 +304,13 @@ class _ScanFamilyDecoder:
             reg.fill(np.inf)
             self._traverse((alpha, beta, tmp, reg, cache, lam[0, t], lam[1, t]), self.n, 0)
             snapshots.append(self._hard_info(alpha, beta))
-        soft[0] = (alpha[0] + beta[0]).T
-        soft[1] = beta[self.n].T  # SC's +0.0: its root's beta is never updated
-        soft[2] = root  # SC's coded posteriors: the clamped LLRs, -0.0 kept
-        if not self._hard:
-            soft[2] += soft[1]
-        return _shaped_result(snapshots, soft, single)
+        if soft:
+            block[0] = (alpha[0] + beta[0]).T
+            block[1] = beta[self.n].T  # SC's +0.0: its root's beta is never updated
+            block[2] = root  # SC's coded posteriors: the clamped LLRs, -0.0 kept
+            if not self._hard:
+                block[2] += block[1]
+        return _shaped_result(snapshots, block, single)
 
     def _hard_info(self, alpha, beta) -> np.ndarray:
         post = alpha[0][self._info_pos] + beta[0][self._info_pos]
@@ -413,16 +423,16 @@ class ScDecoder(_ScanFamilyDecoder):
     def __init__(self, rolemap: RoleMap, L: int):
         super().__init__(rolemap, L, DampingConfig((1.0,), (0.0,)), SEQUENTIAL, hard=True)
 
-    def decode(self, llrs, t_max: int = 1) -> DecodeResult:
+    def decode(self, llrs, t_max: int = 1, *, soft: bool = True) -> DecodeResult:
         if t_max != 1:
             raise ValueError(f"SC decodes in one pass; t_max must be 1, got {t_max}")
-        return super().decode(llrs)
+        return super().decode(llrs, soft=soft)
 
 
 def make_decoder(rolemap: RoleMap, L: int, dec: DecoderConfig):
     """The decoder of kind `dec.kind` for the code (rolemap, L); call its
-    decode(llrs, dec.iterations). L is checked for every kind, SCAN's too,
-    which runs on one register."""
+    decode(llrs, dec.iterations), with soft=False for the decisions only.
+    L is checked for every kind, SCAN's too, which runs on one register."""
     check_register_length(L)
     build = {
         "sc": lambda: ScDecoder(rolemap, L),

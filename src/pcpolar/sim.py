@@ -6,8 +6,9 @@ is evaluated at chunk boundaries in frame order, so results are bitwise
 reproducible for any worker count. A chunk's messages and channel LLRs
 come from one call into the compiled frame chunk, which reads the code's
 role map as `encode` does, or else from the numpy chain it is bitwise
-equal to (`chunk_llrs`). SCAN-family decoders report
-statistics for every iteration 1..t_max out of a single decoding pass.
+equal to (`chunk_llrs`). SCAN-family decoders report statistics for every
+iteration 1..t_max out of a single decode, of the decisions only
+(soft=False), since a count reads no soft output.
 With workers > 1 the chunks run on a thread pool (`_chunk_results`) and
 share one cached decoder, which keeps no per-decode state.
 A SimConfig checks that each SNR point gives a positive finite noise
@@ -185,7 +186,7 @@ def _simulate_chunk(config: SimConfig, snr_db: float, lo: int, hi: int):
     t0 = time.perf_counter()
     decoder = _decoder(config.spec, config.decoder)
     msgs, llr = chunk_llrs(config, snr_db, lo, hi)
-    res = decoder.decode(llr, config.decoder.iterations)
+    res = decoder.decode(llr, config.decoder.iterations, soft=False)
     per_iter = []
     for bits in res.iteration_info_bits:
         errs = bits != msgs

@@ -4,10 +4,12 @@
  *
  * scan_decode walks the frames in blocks of BLOCK. For each block it loads
  * the frames' root LLRs into scratch alpha/beta buffers, runs all t_max
- * passes on them and writes the block's per-pass decisions and its rows of
- * the soft outputs, so a block's scratch stays in cache across the passes
- * and the scratch memory does not grow with B. Frames are independent, so
- * any block size gives the same bits.
+ * passes on them and writes the block's per-pass decisions and, unless its
+ * soft block is NULL (a caller that reads the decisions only, as the
+ * simulator), its rows of the soft outputs, one frame at a time, so each
+ * frame's row is one contiguous write. A block's scratch stays in cache
+ * across the passes and the scratch memory does not grow with B. Frames
+ * are independent, so any block size gives the same bits.
  *
  * Inside a block every buffer is frame-minor, as in the numpy engine: row i
  * of a level holds index i of every frame, so a node's halves are
@@ -170,13 +172,15 @@ CLONES static void traverse(const pass_t *p, int s, int64_t base)
  * lam is (2, t_max), each pass's lambda_p, then each pass's lambda_i; info
  * holds the K info leaves. hard makes an info leaf feed back its decision
  * as +-inf: one sequential pass of it with lambda_p 1 and lambda_i 0 is SC,
- * whose alpha_r is a_hi +- a_lo. Writes the decisions (t_max, B, K) and
- * the soft block (3, B, N): the leaf posteriors alpha[0] + beta[0], the
- * coded extrinsics beta[n] (with hard, the +0.0 of the memset: traverse
- * never updates an unpruned root) and the coded posteriors, the clamped
- * root plus beta[n] (the clamped root alone with hard). Returns 0, -1 if
- * the scratch buffers cannot be allocated, or -2 if an LLR is NaN (the
- * outputs of blocks before its own are then written). */
+ * whose alpha_r is a_hi +- a_lo. Writes the decisions (t_max, B, K) and,
+ * where soft is not NULL, the soft block (3, B, N): the leaf posteriors
+ * alpha[0] + beta[0], the coded extrinsics beta[n] (with hard, the +0.0 of
+ * the memset: traverse never updates an unpruned root) and the coded
+ * posteriors, the clamped root plus beta[n] (the clamped root alone with
+ * hard). The soft outputs are read from nothing else, so a NULL soft
+ * leaves the decisions as they are. Returns 0, -1 if the scratch buffers
+ * cannot be allocated, or -2 if an LLR is NaN (the outputs of blocks
+ * before its own are then written). */
 CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int hard, const double *root,
                        double llr_max, const uint8_t *rate0, const int8_t *kind, int64_t L, const double *lam,
                        const int64_t *info, int64_t K, uint8_t *decisions, double *soft)
@@ -200,7 +204,6 @@ CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int 
     if (!scratch)
         return -1;
     p.alpha = scratch;
-    double *post = soft, *extr = soft + B * N, *coded = extr + B * N;
     for (int64_t f0 = 0; f0 < B; f0 += BLOCK) {
         int64_t nb = B - f0 < BLOCK ? B - f0 : BLOCK, nN = N * nb;
         p.B = nb;
@@ -238,13 +241,16 @@ CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int 
                     dec[b * K + k] = a[b] + bt[b] < 0;
             }
         }
-        for (int64_t i = 0; i < N; i++)
-            for (int64_t b = 0; b < nb; b++) {
-                int64_t out = (f0 + b) * N + i, j = i * nb + b;
-                post[out] = alpha0[j] + beta0[j];
-                extr[out] = beta_root[j];
-                coded[out] = hard ? alpha_root[j] : alpha_root[j] + beta_root[j];
+        if (!soft)
+            continue;
+        for (int64_t b = 0; b < nb; b++) {
+            double *post = soft + (f0 + b) * N, *extr = post + B * N, *coded = extr + B * N;
+            for (int64_t i = 0, j = b; i < N; i++, j += nb) {
+                post[i] = alpha0[j] + beta0[j];
+                extr[i] = beta_root[j];
+                coded[i] = hard ? alpha_root[j] : alpha_root[j] + beta_root[j];
             }
+        }
     }
     free(scratch);
     return 0;

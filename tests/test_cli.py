@@ -578,6 +578,15 @@ def test_simulate_rejects_more_workers_than_the_cap(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_simulate_rejects_a_code_longer_than_the_cap(tmp_path, capsys):
+    out = str(tmp_path / "sim")
+    code = {**BASE_CONFIG["code"], "N": 2**17, "K": 1}
+    assert main(["simulate", "--config", write_config(tmp_path, code=code), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: invalid code config: N must be a power of two from 4 to 65536, got 131072\n"
+    assert not (tmp_path / "sim.csv").exists()
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["construct", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["bogus-command"]) == 1

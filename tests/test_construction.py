@@ -68,6 +68,18 @@ def test_pw_rejects_non_power_of_two():
             pw_reliability(bad)
 
 
+def test_code_length_is_capped_at_n_max():
+    """N above N_MAX (2**16) is refused when the spec is built, before
+    pw_reliability's (N, log2 N) matrix is made."""
+    assert construction.N_MAX == 2**16
+    assert CodeSpec(N=construction.N_MAX, K=1).n == 16
+    for N in (2 * construction.N_MAX, 2**24, 2**40):
+        with pytest.raises(ValueError, match="power of two from 4 to 65536"):
+            CodeSpec(N=N, K=1)
+        with pytest.raises(ValueError, match="power of two from 4 to 65536"):
+            pw_reliability(N)
+
+
 def test_row_weight_examples():
     assert row_weight(0) == 1
     G = transform_matrix(8)

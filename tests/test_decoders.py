@@ -21,6 +21,7 @@ from pcpolar import construction, treepass
 from pcpolar.channel import LLR_MAX, channel_llrs, ebn0_to_sigma, modulate_bpsk
 from pcpolar.construction import FROZEN, INFO, PC, CodeSpec, RoleMap, build_code, derive_pc_structure
 from pcpolar.decoders import (
+    DECODER_KINDS,
     CsrScanDecoder,
     DampingConfig,
     DecodeResult,
@@ -956,6 +957,68 @@ def test_empty_batch_gives_empty_results_on_both_engines(kind):
     assert result_digest(results[0]) == result_digest(results[1])
 
 
+def decisions_digest(res):
+    """SHA-256 of a DecodeResult's decisions alone: what soft=False returns."""
+    h = hashlib.sha256()
+    for a in (res.info_bits, np.int64(res.iterations_run), *res.iteration_info_bits):
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("engine", ["c", "numpy"])
+@pytest.mark.parametrize("code", list(GOLDEN_CODES))
+def test_decisions_only_decode_equals_the_full_decode(code, engine):
+    """decode(..., soft=False) makes no soft block, on either engine, and
+    its per-pass decisions are bitwise the full decode's, for every kind
+    and schedule, for one frame and for batches: around the compiled
+    pass's frame block, and one batch on the numpy engine, which runs a
+    batch as one array."""
+    spec = GOLDEN_CODES[code]
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, 300, 1.5, 37)
+    scan_family = ("scan", "pc-scan", "pc-scan-damped", "csr-scan")
+    builds = [("sc", "-")] + [(name, s) for s in ("sequential", "literal") for name in scan_family]
+    sizes = (1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 300) if engine == "c" else (FRAME_BLOCK + 1,)
+    for name, schedule in builds:
+        t_max = 1 if name == "sc" else 2
+        with numpy_engine() if engine == "numpy" else nullcontext():
+            dec = golden_decoder(code, name, schedule)
+        if dec.engine != engine:
+            pytest.skip("no compiled tree pass on this platform")
+        # frames decode on their own, so a batch's first rows are the decode of those frames
+        want = dec.decode(llr[: max(sizes)], t_max)
+        for rows in [slice(B) for B in sizes] + [0]:
+            got = dec.decode(llr[rows], t_max, soft=False)
+            assert (got.leaf_posteriors, got.coded_extrinsics, got.coded_posteriors) == (None, None, None)
+            assert got.iterations_run == t_max
+            for g, w in zip((got.info_bits, *got.iteration_info_bits), (want.info_bits, *want.iteration_info_bits)):
+                w = w[rows]
+                assert (g.dtype, g.shape) == (w.dtype, w.shape) and np.array_equal(g, w), (name, schedule, rows)
+
+
+@pytest.mark.parametrize("engine", ["c", "numpy"])
+def test_decoders_reject_a_role_map_of_a_length_codespec_refuses(engine):
+    """Every decoder takes a role map of the N CodeSpec takes, a power of
+    two from 4 to N_MAX: at N = 1 the two engines used to decide apart."""
+    builds = [
+        lambda rm: ScDecoder(rm, 1),
+        lambda rm: ScanDecoder(rm),
+        lambda rm: PcScanDecoder(rm, 1),
+        lambda rm: CsrScanDecoder(rm, 1),
+    ]
+    builds += [lambda rm, k=kind: make_decoder(rm, 1, DecoderConfig(kind=k)) for kind in DECODER_KINDS]
+    with numpy_engine() if engine == "numpy" else nullcontext():
+        for N in (1, 2, 3, 6, construction.N_MAX + 4, 2 * construction.N_MAX):
+            rm = RoleMap(np.full(N, INFO, dtype=np.int8))
+            for build in builds:
+                with pytest.raises(ValueError, match="power of two"):
+                    build(rm)
+        for N in (4, construction.N_MAX):
+            assert {build(RoleMap(np.full(N, INFO, dtype=np.int8))).N for build in builds} == {N}
+
+
 @pytest.mark.parametrize("engine", ["c", "numpy"])
 @pytest.mark.parametrize("kind", ["sc", "scan", "pc-scan", "csr-scan"])
 def test_one_decoder_decodes_from_several_threads_at_once(kind, engine):
@@ -1103,7 +1166,8 @@ SMALLEST_CODES = {
 # run with the sanitized library as argv[1]: every golden code at B=300 (past
 # 256 frames and not a whole number of frame blocks), B=1 and one frame past
 # a block, and the smallest codes at B=1, one block and one frame past it,
-# each result against the plain build's
+# each result against the plain build's, and each decisions-only decode (a
+# NULL soft block) against the full decode's decisions
 SANITIZED_DECODES = """
 import sys
 from pcpolar import treepass
@@ -1121,11 +1185,14 @@ for code, spec, batches in codes:
     for kind, schedule in kinds:
         dec = DecoderConfig(kind, 2, schedule=schedule)
         for frames in (llr[0] if B == 1 else llr[:B] for B in batches):
-            digests = set()
+            digests, decided = set(), set()
             for lib in libs:
                 treepass.load = lambda: lib
-                digests.add(t.result_digest(make_decoder(rm, L, dec).decode(frames, dec.iterations)))
-            if len(digests) != 1:
+                decoder = make_decoder(rm, L, dec)
+                full = decoder.decode(frames, dec.iterations)
+                digests.add(t.result_digest(full))
+                decided |= {t.decisions_digest(r) for r in (full, decoder.decode(frames, dec.iterations, soft=False))}
+            if len(digests) != 1 or len(decided) != 1:
                 changed.append((code, kind, schedule, frames.shape))
 print(changed)
 sys.exit(bool(changed))
