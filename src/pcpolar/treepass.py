@@ -21,7 +21,8 @@ batch, all passes, in one call (typed in `open_library`). It runs the
 frames in blocks of a fixed size in its own scratch buffers, so its
 memory does not grow with the batch; it checks the LLRs for NaN and
 clamps them as it loads each block, and writes the decisions and one
-block of soft outputs into numpy-owned arrays. It sees the code only as its rate-0
+block of soft outputs into numpy-owned arrays (no soft outputs where
+that block's address is NULL). It sees the code only as its rate-0
 nodes, leaf kinds, L and info positions: a checked info leaf finds its
 parity checks by walking its own chain (see treepass.c).
 
@@ -121,7 +122,8 @@ def open_library(path: Path):
     # rate0 (n+1, N) uint8, leaf kinds (N,) int8, L, damping (2, t_max)
     # float64 (lambda_p, then lambda_i), info positions (K,) int64, K,
     # decisions (t_max, B, K) uint8, soft outputs (3, B, N) float64 (leaf
-    # posteriors, coded extrinsics, coded posteriors)
+    # posteriors, coded extrinsics, coded posteriors) or None (NULL) for
+    # the decisions only
     lib.scan_decode.argtypes = [
         i64, i64, i64, ctypes.c_int, ctypes.c_int, ptr, ctypes.c_double, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr,
     ]

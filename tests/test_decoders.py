@@ -659,21 +659,23 @@ GOLDEN_DIGESTS = {
 GOLDEN_DAMPING = DampingConfig((0.5, 1.0), (0.0, 0.67))
 
 
-def result_digest(res):
+def arrays_digest(*arrays):
     h = hashlib.sha256()
-    fields = (
-        res.info_bits,
-        res.leaf_posteriors,
-        res.coded_extrinsics,
-        res.coded_posteriors,
-        np.int64(res.iterations_run),
-        *res.iteration_info_bits,
-    )
-    for a in fields:
+    for a in arrays:
         a = np.asarray(a)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def result_digest(res):
+    soft = (res.leaf_posteriors, res.coded_extrinsics, res.coded_posteriors)
+    return arrays_digest(res.info_bits, *soft, np.int64(res.iterations_run), *res.iteration_info_bits)
+
+
+def decisions_digest(res):
+    """The digest of a DecodeResult's decisions alone: what soft=False returns."""
+    return arrays_digest(res.info_bits, np.int64(res.iterations_run), *res.iteration_info_bits)
 
 
 def golden_decoder(code, decoder, schedule):
@@ -957,16 +959,6 @@ def test_empty_batch_gives_empty_results_on_both_engines(kind):
     assert result_digest(results[0]) == result_digest(results[1])
 
 
-def decisions_digest(res):
-    """SHA-256 of a DecodeResult's decisions alone: what soft=False returns."""
-    h = hashlib.sha256()
-    for a in (res.info_bits, np.int64(res.iterations_run), *res.iteration_info_bits):
-        a = np.asarray(a)
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("engine", ["c", "numpy"])
 @pytest.mark.parametrize("code", list(GOLDEN_CODES))
 def test_decisions_only_decode_equals_the_full_decode(code, engine):
@@ -996,6 +988,24 @@ def test_decisions_only_decode_equals_the_full_decode(code, engine):
             for g, w in zip((got.info_bits, *got.iteration_info_bits), (want.info_bits, *want.iteration_info_bits)):
                 w = w[rows]
                 assert (g.dtype, g.shape) == (w.dtype, w.shape) and np.array_equal(g, w), (name, schedule, rows)
+
+
+@pytest.mark.parametrize("engine", ["c", "numpy"])
+def test_one_decoder_decodes_with_several_t_max_in_turn(engine):
+    """A decoder keeps each t_max's damping array after its first decode:
+    decodes with t_max 3, 1, 2, 3, 1 through one instance give the bits of
+    a fresh decoder's, under PC-SCAN with damping that differs by pass."""
+    spec = GOLDEN_CODES["64-fc"]
+    rm, L = build_code(spec)
+    _, llr = noisy_llrs(spec, rm, L, FRAME_BLOCK + 1, 1.5, 41)
+    with numpy_engine() if engine == "numpy" else nullcontext():
+        key = ("64-fc", "pc-scan-damped", "sequential")
+        dec = golden_decoder(*key)
+        got = [result_digest(dec.decode(llr, t)) for t in (3, 1, 2, 3, 1)]
+        fresh = [result_digest(golden_decoder(*key).decode(llr, t)) for t in (3, 1, 2, 3, 1)]
+    if dec.engine != engine:
+        pytest.skip("no compiled tree pass on this platform")
+    assert got == fresh
 
 
 @pytest.mark.parametrize("engine", ["c", "numpy"])
