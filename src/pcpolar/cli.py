@@ -364,29 +364,15 @@ def cmd_simulate(args) -> int:
         raise CliError(f"--decoders {args.decoders!r} holds an empty entry")
     if len(set(kinds)) < len(kinds):
         raise CliError(f"--decoders {args.decoders!r} names a decoder more than once")
-    rows: list[dict] = []
-    per_decoder = []
-    config_echo = None
     t_start = time.perf_counter()
-    for kind in kinds:
-        dec = resolve_decoder(cfg, kind=kind)
-        sim_cfg = resolve_sim(cfg, spec, dec, args)
-        if config_echo is None:
-            config_echo = resolved_config_dict(spec, dec, sim_cfg)
-        result = sweep(sim_cfg)
-        cell_rows = []
-        for cell in result.cells:
-            row = {"decoder": dec.kind, **cell.row()}
-            rows.append(row)
-            cell_rows.append(row)
-        per_decoder.append(
-            {
-                "decoder": dec.kind,
-                "t_max": dec.t_max,
-                "cells": cell_rows,
-            }
-        )
-    assert config_echo is not None
+    decs = [resolve_decoder(cfg, kind=kind) for kind in kinds]
+    sim_cfgs = [resolve_sim(cfg, spec, dec, args) for dec in decs]  # checks each decoder's config
+    config_echo = resolved_config_dict(spec, decs[0], sim_cfgs[0])
+    rows = [cell.row() for cell in sweep(sim_cfgs[0], decs).cells]
+    per_decoder = [
+        {"decoder": dec.kind, "t_max": dec.t_max, "cells": [row for row in rows if row["decoder"] == dec.kind]}
+        for dec in decs
+    ]
     doc = {
         "tool": "pcpolar",
         "version": __version__,

@@ -42,7 +42,8 @@ scratch memory does not grow with the batch; they hold every beta level
 but, between the leaf and root levels, only the alphas of the node being
 visited's children (see treepass.c). It writes the decisions and one
 (3, B, N) soft block (leaf posteriors, coded extrinsics, coded
-posteriors; none with soft=False) into arrays numpy allocates; the
+posteriors; none with soft=False, which also skips the root's beta
+update, read by the coded outputs alone) into arrays numpy allocates; the
 decoder hands it those, its own fixed arrays and each t_max's damping
 (addresses read once) as bare addresses, so a call checks no array
 flags. The first decoder built in a process builds the library with gcc
@@ -302,7 +303,7 @@ class _ScanFamilyDecoder:
         snapshots = []
         for t in range(t_max):
             reg.fill(np.inf)
-            self._traverse((alpha, beta, tmp, reg, cache, lam[0, t], lam[1, t]), self.n, 0)
+            self._traverse((alpha, beta, tmp, reg, cache, lam[0, t], lam[1, t], soft and not self._hard), self.n, 0)
             snapshots.append(self._hard_info(alpha, beta))
         if soft:
             block[0] = (alpha[0] + beta[0]).T
@@ -318,8 +319,8 @@ class _ScanFamilyDecoder:
 
     def _traverse(self, work, s: int, base: int) -> None:
         """Visit the level-s node over leaves [base, base + 2^s); `work` is
-        the decode's (alpha, beta, tmp, reg, cache) and the pass's
-        (lambda_p, lambda_i)."""
+        the decode's (alpha, beta, tmp, reg, cache), the pass's (lambda_p,
+        lambda_i) and whether the root's beta is read."""
         alphas, betas, tmps = work[:3]
         end = base + (1 << s)
         if self._rate0[s, base >> s]:
@@ -344,7 +345,7 @@ class _ScanFamilyDecoder:
         if not self._sequential:
             self._traverse(work, s - 1, base)
         self._traverse(work, s - 1, mid)
-        if self._hard and s == self.n:  # SC outputs no coded extrinsics: the root's beta goes unread
+        if s == self.n and not work[7]:  # only the soft outputs read the root's beta, and SC's are zero
             return
         # beta_lo = f(b_lo, a_hi + b_hi); beta_hi = f(b_lo, a_lo) + b_hi
         f_pair(b_lo, np.add(a_hi, b_hi, out=tmp), out=beta[base:mid])
@@ -352,7 +353,7 @@ class _ScanFamilyDecoder:
         beta[mid:end] += b_hi
 
     def _leaf_visit(self, work, u: int) -> None:
-        alphas, betas, _, regs, cache, lam_p, lam_i = work
+        alphas, betas, _, regs, cache, lam_p, lam_i, _ = work
         k = self._kind[u]
         alpha, out, reg = alphas[0][u], betas[0][u], regs[u % self.L]
         if k != LEAF_UNCHECKED:

@@ -1,7 +1,10 @@
-/* A simulation chunk before decode, exported as frame_chunk: the compiled
- * form of channel.frame_batch, encoder.encode, channel.modulate_bpsk and
- * channel.channel_llrs, bitwise equal to that numpy chain. Like encode,
- * it sees the code as its role map and register length L.
+/* A simulation chunk before decode: the compiled form of
+ * channel.frame_batch and encoder.encode (frame_chunk), and of
+ * channel.modulate_bpsk and channel.channel_llrs (frame_llrs), bitwise
+ * equal to that numpy chain. frame_chunk makes a chunk's messages,
+ * codeword bits and unit normals once; frame_llrs turns them into LLRs at
+ * one SNR, so a sweep over several SNR points draws each frame once. Like
+ * encode, frame_chunk sees the code as its role map and register length L.
  *
  * Frame f's generator is channel.frame_rng(master_seed, f): numpy's PCG64
  * (128-bit LCG, XSL-RR output) seeded from SeedSequence((master_seed, f)),
@@ -233,30 +236,29 @@ int sampler_check(void)
 }
 
 /* Frames lo, ..., lo + B - 1 of the master seed whose nseed >= 1
- * little-endian uint32 words are seed: messages (B, K) and channel LLRs
- * (B, N). Frame f's entropy is those words, then f's: one below 2^32, two
- * above. role holds each position's role, K of them INFO, and L is the
- * register length. Sigma 0.0 makes noiseless frames: +-llr_max, no noise
- * drawn; else 2 * (1 - 2x + sigma * noise) / sigma^2, in numpy's order.
- * Returns 0, or -1 if the scratch buffer cannot be allocated. */
+ * little-endian uint32 words are seed: messages (B, K), codeword bits x
+ * (B, N) and, unless normals is NULL, the unit normals (B, N) that
+ * frame_llrs turns into channel LLRs at each SNR. Frame f's entropy is
+ * those words, then f's: one below 2^32, two above. role holds each
+ * position's role, K of them INFO, and L is the register length. Returns
+ * 0, or -1 if the scratch buffer cannot be allocated. */
 int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint32_t *seed, int64_t nseed, int64_t lo,
-                const int8_t *role, double sigma, double llr_max, uint8_t *msgs, double *llrs)
+                const int8_t *role, uint8_t *msgs, uint8_t *xs, double *normals)
 {
     int64_t nraw = (K + 7) / 8;
-    /* the raw words, then the info positions, the codeword and the chain registers */
-    uint64_t *raw = malloc((nraw + K) * sizeof *raw + N + L);
+    /* the raw words, then the info positions and the chain registers */
+    uint64_t *raw = malloc((nraw + K) * sizeof *raw + L);
     if (!raw)
         return -1;
     int64_t *info = (int64_t *)(raw + nraw);
-    uint8_t *x = (uint8_t *)(info + K), *reg = x + N;
+    uint8_t *reg = (uint8_t *)(info + K);
     for (int64_t i = 0, k = 0; i < N && k < K; i++)
         if (role[i] == INFO)
             info[k++] = i;
     pcg64_t g;
     pthread_once(&tables_once, probe_tables);
     for (int64_t b = 0; b < B; b++) {
-        uint8_t *m = msgs + b * K;
-        double *llr = llrs + b * N;
+        uint8_t *m = msgs + b * K, *x = xs + b * N;
         pcg64_seed(&g, seed, nseed, (uint64_t)lo + b);
         for (int64_t j = 0; j < nraw; j++)
             raw[j] = pcg64_next64(&g);
@@ -281,17 +283,26 @@ int frame_chunk(int64_t B, int64_t N, int64_t K, int64_t L, const uint32_t *seed
             for (int64_t j = 0; j < N; j += 2 * h)
                 for (int64_t t = j; t < j + h; t++)
                     x[t] ^= x[t + h];
-        if (sigma == 0.0) {
-            for (int64_t i = 0; i < N; i++)
-                llr[i] = x[i] ? -llr_max : llr_max;
-            continue;
-        }
-        normal_fill(&g, N, llr);
-        for (int64_t i = 0; i < N; i++) {
-            double y = (1.0 - 2.0 * x[i]) + sigma * llr[i];
-            llr[i] = 2.0 * y / (sigma * sigma);
-        }
+        if (normals)
+            normal_fill(&g, N, normals + b * N);
     }
     free(raw);
     return 0;
+}
+
+/* The channel LLRs of n codeword bits x over their unit normals at noise
+ * sigma: 2 * (1 - 2x + sigma * normal) / sigma^2, in numpy's order; sigma
+ * 0.0 makes noiseless LLRs, +-llr_max, and leaves normals unread (it may
+ * be NULL). llr may be normals itself. */
+void frame_llrs(int64_t n, const uint8_t *x, const double *normals, double sigma, double llr_max, double *llr)
+{
+    if (sigma == 0.0) {
+        for (int64_t i = 0; i < n; i++)
+            llr[i] = x[i] ? -llr_max : llr_max;
+        return;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        double y = (1.0 - 2.0 * x[i]) + sigma * normals[i];
+        llr[i] = 2.0 * y / (sigma * sigma);
+    }
 }

@@ -1,18 +1,25 @@
 """Monte-Carlo FER/BER estimation over AWGN.
 
 Frames are processed in fixed-size chunks; each frame's message and noise
-derive only from (master_seed, frame_index), and the early-stopping rule
-is evaluated at chunk boundaries in frame order, so results are bitwise
-reproducible for any worker count. A chunk's messages and channel LLRs
-come from one call into the compiled frame chunk, which reads the code's
-role map as `encode` does, or else from the numpy chain it is bitwise
-equal to (`chunk_llrs`). SCAN-family decoders report statistics for every
-iteration 1..t_max out of a single decode, of the decisions only
-(soft=False), since a count reads no soft output.
-With workers > 1 the chunks run on a thread pool (`_chunk_results`) and
-share one cached decoder, which keeps no per-decode state.
-A SimConfig checks that each SNR point gives a positive finite noise
-sigma when it is built, so no chunk meets a bad one.
+derive only from (master_seed, frame_index), and each (decoder, SNR) cell's
+early-stopping rule is evaluated at chunk boundaries in frame order, so
+results are bitwise reproducible for any worker count. `sweep` runs every
+cell of a simulate in lockstep through one chunk loop (`_run_cells`), and
+`run_cell` is its one-cell case: one task per chunk index makes the
+chunk's messages, codeword bits and unit normals once (`chunk_frames`),
+forms each SNR point's channel LLRs from them (`frame_llrs`) and decodes
+those with every decoder whose cell is still running when the task
+starts. Both steps are one call each into the compiled frame chunk, which
+reads the code's role map as `encode` does, or else the numpy chain they
+are bitwise equal to; `chunk_llrs` is the two for one SNR point.
+SCAN-family decoders report statistics for every iteration 1..t_max out
+of a single decode, of the decisions only (soft=False), since a count
+reads no soft output.
+With workers > 1 the tasks run on a thread pool (`_chunk_results`) and
+share one cached decoder per decoder config, which keeps no per-decode
+state. A SimConfig checks, when it is built, that each SNR point gives a
+positive finite noise sigma, so no chunk meets a bad one, and that the
+chunks able to run at once stay under CHUNK_MEMORY_MAX.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -36,6 +44,11 @@ from .decoders import DECODER_KINDS, DecoderConfig, make_decoder
 from .encoder import encode
 
 MAX_WORKERS = 256  # the most chunk threads a SimConfig may ask for; results do not depend on the count
+# The most bytes the chunks in flight may hold at once, as SimConfig
+# estimates them (chunk_memory): 4 GiB, half of an 8 GB machine. The
+# default batch_frames and workers stay below it at every code length up
+# to N_MAX with t_max up to 47.
+CHUNK_MEMORY_MAX = 2**32
 
 
 @dataclass(frozen=True)
@@ -74,12 +87,30 @@ class SimConfig:
             raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {self.workers}")
         if self.batch_frames < 1:
             raise ValueError("batch_frames must be >= 1")
+        if self.chunk_memory > CHUNK_MEMORY_MAX:
+            raise ValueError(
+                f"the chunks in flight would hold {self.chunk_memory / 2**30:.1f} GiB, above the "
+                f"{CHUNK_MEMORY_MAX / 2**30:g} GiB ceiling; lower batch_frames or workers"
+            )
+
+    @property
+    def chunk_memory(self) -> int:
+        """Bytes of the arrays that the chunks able to run at once (up to
+        `workers`) hold at their peak. A chunk of B frames holds its
+        messages (B, K) and codeword bits (B, N) uint8, unit normals (B, N)
+        float64, a spare LLR buffer as large where it has several SNR
+        points, and one decode's decisions (iterations, B, K) uint8."""
+        B, N, K = min(self.batch_frames, self.max_frames), self.spec.N, self.spec.K
+        tasks = min(self.workers, -(-self.max_frames // B))
+        spare = 8 * N if len(set(self.snr_points)) > 1 else 0
+        return tasks * B * (K + N + 8 * N + spare + self.decoder.iterations * K)
 
 
 @dataclass
 class CellStats:
-    """Error counters of one (snr, iteration) cell."""
+    """Error counters of one (decoder, snr, iteration) cell."""
 
+    decoder: str
     snr_db: float
     iteration: int
     frames: int
@@ -103,6 +134,7 @@ class CellStats:
     def row(self) -> dict:
         lo, hi = self.fer_ci_95
         return {
+            "decoder": self.decoder,
             "snr_db": self.snr_db,
             "iter": self.iteration,
             "frames": self.frames,
@@ -149,53 +181,120 @@ def _decoder(spec: CodeSpec, dec: DecoderConfig):
     return make_decoder(*_code(spec), dec)
 
 
-def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Messages (B, K) uint8 and channel LLRs (B, N) of frames [lo, hi).
+def chunk_frames(
+    config: SimConfig, lo: int, hi: int, noise: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Messages (B, K) uint8, codeword bits x (B, N) uint8 and unit normals
+    (B, N) float64 of frames [lo, hi), which `frame_llrs` turns into the
+    channel LLRs at any SNR point.
 
     One call into the compiled frame chunk (framechunk.c) makes them,
-    bitwise as the numpy chain `frame_batch` -> `encode` -> `modulate_bpsk`
-    -> `channel_llrs` does, for any master seed and frame index. That
-    chain runs where the library cannot be built or loaded.
+    bitwise as `frame_batch` -> `encode` does, for any master seed and
+    frame index, writing the normals into `noise` where it is given (a
+    C-contiguous (B, N) float64 array); for a noiseless config it draws no
+    normals and leaves that array unwritten, since no LLR reads it. That
+    numpy chain runs where the library cannot be built or loaded, and
+    returns arrays of its own.
     """
     spec = config.spec
-    sigma = 0.0 if config.noiseless else ebn0_to_sigma(snr_db, spec.rate)
     rolemap, L = _code(spec)
     lib = treepass.load_frames()
     if lib is None:
         msgs, noise = frame_batch(config.master_seed, lo, hi, spec.K, spec.N)
-        sym = modulate_bpsk(encode(msgs, spec, rolemap, L))
-        if config.noiseless:
-            return msgs, channel_llrs(sym, 0.0, noiseless=True)
-        return msgs, channel_llrs(sym + sigma * noise, sigma)
+        return msgs, encode(msgs, spec, rolemap, L), noise
     # the master seed's little-endian uint32 words, as SeedSequence splits it
     master = int(config.master_seed)
     seed = np.array([master >> s & 0xFFFFFFFF for s in range(0, max(master.bit_length(), 1), 32)], dtype=np.uint32)
     msgs = np.empty((hi - lo, spec.K), dtype=np.uint8)
-    llr = np.empty((hi - lo, spec.N))
+    x = np.empty((hi - lo, spec.N), dtype=np.uint8)
+    if noise is None:
+        noise = np.empty((hi - lo, spec.N))
     failed = lib.frame_chunk(
-        hi - lo, spec.N, spec.K, L, seed.ctypes.data, len(seed), lo, rolemap.role.ctypes.data, sigma, LLR_MAX,
-        msgs.ctypes.data, llr.ctypes.data,
+        hi - lo, spec.N, spec.K, L, seed.ctypes.data, len(seed), lo, rolemap.role.ctypes.data,
+        msgs.ctypes.data, x.ctypes.data, None if config.noiseless else noise.ctypes.data,
     )
     if failed:
         raise MemoryError("cannot allocate the compiled frame chunk's scratch buffer")
-    return msgs, llr
+    return msgs, x, noise
 
 
-def _simulate_chunk(config: SimConfig, snr_db: float, lo: int, hi: int):
-    """Counters for frames [lo, hi): (frames, per-iteration (ferr, berr), seconds)."""
-    t0 = time.perf_counter()
-    decoder = _decoder(config.spec, config.decoder)
-    msgs, llr = chunk_llrs(config, snr_db, lo, hi)
-    res = decoder.decode(llr, config.decoder.iterations, soft=False)
+def frame_llrs(config: SimConfig, x: np.ndarray, noise: np.ndarray, snr_db: float, out: np.ndarray) -> np.ndarray:
+    """Channel LLRs (B, N) at snr_db of a chunk's codeword bits x over its
+    unit normals, as `chunk_frames` made them: 2 * (1 - 2x + sigma * noise)
+    / sigma^2 in numpy's order, or +-LLR_MAX for a noiseless config.
+
+    The compiled frame chunk writes them into `out`, a C-contiguous (B, N)
+    float64 array that may be `noise` itself; the numpy chain
+    `modulate_bpsk` -> `channel_llrs`, where no library loads, returns a
+    new array.
+    """
+    sigma = 0.0 if config.noiseless else ebn0_to_sigma(snr_db, config.spec.rate)
+    lib = treepass.load_frames()
+    if lib is None:
+        sym = modulate_bpsk(x)
+        if config.noiseless:
+            return channel_llrs(sym, 0.0, noiseless=True)
+        return channel_llrs(sym + sigma * noise, sigma)
+    lib.frame_llrs(x.size, x.ctypes.data, noise.ctypes.data, sigma, LLR_MAX, out.ctypes.data)
+    return out
+
+
+def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Messages (B, K) uint8 and channel LLRs (B, N) of frames [lo, hi) at
+    snr_db: `chunk_frames`, then one `frame_llrs` step over the normals."""
+    msgs, x, noise = chunk_frames(config, lo, hi)
+    return msgs, frame_llrs(config, x, noise, snr_db, noise)
+
+
+def _errors(dec: DecoderConfig, spec: CodeSpec, llr: np.ndarray, msgs: np.ndarray) -> list[tuple[int, int]]:
+    """Per-iteration (frame errors, bit errors) of one decisions-only decode
+    of llr against msgs; the decode's result is freed on return."""
     per_iter = []
-    for bits in res.iteration_info_bits:
+    for bits in _decoder(spec, dec).decode(llr, dec.iterations, soft=False).iteration_info_bits:
         errs = bits != msgs
         per_iter.append((int(errs.any(axis=1).sum()), int(errs.sum())))
-    return hi - lo, per_iter, time.perf_counter() - t0
+    return per_iter
 
 
-def _chunk_results(config: SimConfig, snr_db: float):
-    """Yield chunk counters in frame order, fanned out over a thread pool.
+def _chunk_task(config: SimConfig, cells, live: list, lo: int, hi: int):
+    """Counters of frames [lo, hi) for each (decoder, SNR) cell in `cells`
+    that `live[0]` still names when the task starts: (frames, {cell index:
+    (per-iteration (ferr, berr), seconds)}).
+
+    The frames are made once. Each SNR point's LLRs go into one spare
+    buffer, the last point's in place over the normals, and every live
+    decoder at that point decodes them, the decisions only; each result is
+    dropped before the next decode. A cell's seconds are its decode and
+    count time plus an equal share of the frame and LLR time.
+    """
+    t0 = time.perf_counter()
+    by_snr: dict[float, list[int]] = {}
+    for c in live[0]:
+        by_snr.setdefault(cells[c][1], []).append(c)
+    # The normals and the spare buffer are one allocation. glibc raises its
+    # mmap threshold to the largest block freed, and trims the heap once
+    # twice that lies free at its top; the chunk's other arrays stay below
+    # the block's size, so the heap is reused from chunk to chunk, not
+    # trimmed and faulted in again (two blocks took 2000 page faults per
+    # N=64 sweep of 40,000 frames).
+    planes = np.empty((min(len(by_snr), 2), hi - lo, config.spec.N))
+    msgs, x, noise = chunk_frames(config, lo, hi, planes[0])
+    spare = planes[-1]
+    shared = time.perf_counter() - t0
+    counts = {}
+    for j, (snr_db, group) in enumerate(by_snr.items()):
+        t0 = time.perf_counter()
+        llr = frame_llrs(config, x, noise, snr_db, noise if j == len(by_snr) - 1 else spare)
+        shared += time.perf_counter() - t0
+        for c in group:
+            t0 = time.perf_counter()
+            counts[c] = _errors(cells[c][0], config.spec, llr, msgs), time.perf_counter() - t0
+    share = shared / len(counts)
+    return hi - lo, {c: (per_iter, secs + share) for c, (per_iter, secs) in counts.items()}
+
+
+def _chunk_results(config: SimConfig, cells, live: list):
+    """Yield `_chunk_task` results in frame order, fanned out over a thread pool.
 
     The pool holds one chunk per worker plus one queued, and a chunk is
     only submitted once the consumer has taken an earlier result, so when
@@ -211,7 +310,7 @@ def _chunk_results(config: SimConfig, snr_db: float):
     bounds = ((lo, min(lo + step, config.max_frames)) for lo in range(0, config.max_frames, step))
     if config.workers == 1:
         for lo, hi in bounds:
-            yield _simulate_chunk(config, snr_db, lo, hi)
+            yield _chunk_task(config, cells, live, lo, hi)
         return
     with ThreadPoolExecutor(max_workers=config.workers) as ex:
         pending: deque = deque()
@@ -219,7 +318,7 @@ def _chunk_results(config: SimConfig, snr_db: float):
             for lo, hi in bounds:
                 if len(pending) > config.workers:
                     yield pending.popleft().result()
-                pending.append(ex.submit(_simulate_chunk, config, snr_db, lo, hi))
+                pending.append(ex.submit(_chunk_task, config, cells, live, lo, hi))
             while pending:
                 yield pending.popleft().result()
         finally:
@@ -227,46 +326,63 @@ def _chunk_results(config: SimConfig, snr_db: float):
                 fut.cancel()
 
 
-def run_cell(config: SimConfig, snr_db: float) -> list[CellStats]:
-    """Simulate one SNR point until max_frames or min_frame_errors.
+def _run_cells(config: SimConfig, cells) -> list[CellStats]:
+    """Simulate (decoder, SNR) cells over the same frames, in lockstep by
+    chunk index, each until max_frames or min_frame_errors; their stats in
+    cell order, then iteration.
 
-    The stopping rule looks at the final iteration's cumulative frame
-    errors at chunk boundaries in frame order, so the set of counted
-    frames is a pure function of the config.
+    Each cell's stopping rule looks at its final iteration's cumulative
+    frame errors at chunk boundaries in frame order, so the set of frames
+    it counts is a pure function of the config. A stopped cell leaves
+    `live`, which the tasks read when they start; a task that started
+    before the stop still decodes it, and that result goes uncounted.
     """
-    iters = config.decoder.iterations
-    frames = 0
-    ferr = np.zeros(iters, dtype=np.int64)
-    berr = np.zeros(iters, dtype=np.int64)
-    seconds = 0.0
-    with closing(_chunk_results(config, snr_db)) as chunks:
-        for chunk_frames, per_iter, secs in chunks:
-            if len(per_iter) != iters:
-                raise RuntimeError("decoder reported an unexpected iteration count")
-            frames += chunk_frames
-            for t, (fe, be) in enumerate(per_iter):
-                ferr[t] += fe
-                berr[t] += be
-            seconds += secs
-            if ferr[-1] >= config.min_frame_errors:
+    live = [tuple(range(len(cells)))]  # one tuple, replaced whole, so a task reads it in one step
+    frames = [0] * len(cells)
+    ferr = [np.zeros(dec.iterations, dtype=np.int64) for dec, _ in cells]
+    berr = [np.zeros(dec.iterations, dtype=np.int64) for dec, _ in cells]
+    seconds = [0.0] * len(cells)
+    with closing(_chunk_results(config, cells, live)) as chunks:
+        for n, counts in chunks:
+            for c in live[0]:
+                per_iter, secs = counts[c]
+                if len(per_iter) != len(ferr[c]):
+                    raise RuntimeError("decoder reported an unexpected iteration count")
+                frames[c] += n
+                for t, (fe, be) in enumerate(per_iter):
+                    ferr[c][t] += fe
+                    berr[c][t] += be
+                seconds[c] += secs
+            live[0] = tuple(c for c in live[0] if ferr[c][-1] < config.min_frame_errors)
+            if not live[0]:
                 break
     return [
         CellStats(
+            decoder=dec.kind,
             snr_db=snr_db,
             iteration=t + 1,
-            frames=frames,
-            frame_errors=int(ferr[t]),
-            bit_errors=int(berr[t]),
-            info_bits_total=frames * config.spec.K,
-            seconds=seconds,
+            frames=frames[c],
+            frame_errors=int(ferr[c][t]),
+            bit_errors=int(berr[c][t]),
+            info_bits_total=frames[c] * config.spec.K,
+            seconds=seconds[c],
         )
-        for t in range(iters)
+        for c, (dec, snr_db) in enumerate(cells)
+        for t in range(dec.iterations)
     ]
 
 
-def sweep(config: SimConfig) -> SimResult:
-    """Map run_cell over the configured SNR points."""
-    cells: list[CellStats] = []
-    for snr in config.snr_points:
-        cells.extend(run_cell(config, snr))
-    return SimResult(config=config, cells=cells)
+def run_cell(config: SimConfig, snr_db: float) -> list[CellStats]:
+    """Simulate config.decoder at one SNR point until max_frames or
+    min_frame_errors: the one-cell case of `sweep`."""
+    return _run_cells(config, [(config.decoder, snr_db)])
+
+
+def sweep(config: SimConfig, decoders: Sequence[DecoderConfig] | None = None) -> SimResult:
+    """Every (decoder, SNR point) cell of config, each decoder in `decoders`
+    (config.decoder alone by default) at each of config.snr_points, run in
+    lockstep over one pass of the frames; the cells come decoder by decoder,
+    then by SNR point, then by iteration, each as `run_cell` gives it."""
+    decoders = (config.decoder,) if decoders is None else tuple(decoders)
+    cells = [(dec, snr_db) for dec in decoders for snr_db in config.snr_points]
+    return SimResult(config=config, cells=_run_cells(config, cells))

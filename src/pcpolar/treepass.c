@@ -6,8 +6,9 @@
  * the frames' root LLRs into scratch alpha/beta buffers, runs all t_max
  * passes on them and writes the block's per-pass decisions and, unless its
  * soft block is NULL (a caller that reads the decisions only, as the
- * simulator), its rows of the soft outputs, one frame at a time, so each
- * frame's row is one contiguous write. A block's scratch stays in cache
+ * simulator, whose passes then skip the root's beta update), its rows of
+ * the soft outputs, one frame at a time, so each frame's row is one
+ * contiguous write. A block's scratch stays in cache
  * across the passes and the scratch memory does not grow with B. Frames
  * are independent, so any block size gives the same bits.
  *
@@ -60,7 +61,7 @@ enum { BLOCK = 16 }; /* frames per block */
 
 typedef struct {
     int64_t N, B, L;
-    int sequential, use_cache, hard;
+    int sequential, use_cache, hard, soft; /* soft: the caller reads the soft outputs */
     double *alpha, *beta;
     int64_t aoff[64], amask[64]; /* level s's alpha rows: (base & amask[s]) from aoff[s] */
     const uint8_t *rate0;
@@ -160,7 +161,9 @@ CLONES static void traverse(const pass_t *p, int s, int64_t base)
     if (!p->sequential)
         traverse(p, s - 1, base);
     traverse(p, s - 1, base + len / 2);
-    if (p->hard && len == p->N) /* SC's coded extrinsics are zero: the root's beta keeps its +0.0 */
+    /* only the soft outputs read the root's beta, and SC's coded extrinsics
+     * are zero: there it keeps its +0.0 */
+    if ((p->hard || !p->soft) && len == p->N)
         return;
     /* beta_lo = f(b_lo, a_hi + b_hi); beta_hi = f(b_lo, a_lo) + b_hi */
     f_of_sum(beta + lo, b_lo, a_hi, b_hi, half);
@@ -177,8 +180,8 @@ CLONES static void traverse(const pass_t *p, int s, int64_t base)
  * alpha[0] + beta[0], the coded extrinsics beta[n] (with hard, the +0.0 of
  * the memset: traverse never updates an unpruned root) and the coded
  * posteriors, the clamped root plus beta[n] (the clamped root alone with
- * hard). The soft outputs are read from nothing else, so a NULL soft
- * leaves the decisions as they are. Returns 0, -1 if the scratch buffers
+ * hard). Nothing else reads the soft outputs or beta[n], so a NULL soft
+ * skips the root's beta update and leaves the decisions as they are. Returns 0, -1 if the scratch buffers
  * cannot be allocated, or -2 if an LLR is NaN (the outputs of blocks
  * before its own are then written). */
 CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int hard, const double *root,
@@ -190,7 +193,7 @@ CLONES int scan_decode(int64_t n, int64_t B, int64_t t_max, int sequential, int 
     for (int64_t t = 0; t < t_max; t++)
         use_cache |= lam[t_max + t] != 0;
     pass_t p = {.N = N, .L = L, .sequential = sequential, .use_cache = use_cache, .hard = hard,
-                .rate0 = rate0, .kind = kind};
+                .soft = soft != NULL, .rate0 = rate0, .kind = kind};
     /* alpha rows: level 0, level n, then level s in 1..n-1 at 2N + 2^(s+1) - 4 */
     p.aoff[n] = N;
     p.amask[0] = p.amask[n] = N - 1;

@@ -27,8 +27,9 @@ nodes, leaf kinds, L and info positions: a checked info leaf finds its
 parity checks by walking its own chain (see treepass.c).
 
 `load_frames()` does the same for framechunk.c, on a process's first
-simulation chunk; its entry point `frame_chunk` makes a chunk's messages
-and channel LLRs (typed in `open_frame_library`). That file runs numpy's
+simulation chunk; its entry point `frame_chunk` makes a chunk's messages,
+codeword bits and unit normals, and `frame_llrs` turns those into channel
+LLRs at one SNR (both typed in `open_frame_library`). That file runs numpy's
 ziggurat fast path inline over tables it reads from numpy's own normal
 sampler, which it links, with the rest of its slow path, from the
 libnpyrandom.a numpy ships; so its key also covers numpy's version and
@@ -153,19 +154,24 @@ def numpy_random_archive() -> Path:
 
 def open_frame_library(path: Path):
     """The built frame library (a ctypes.CDLL) with its entry points typed:
-    `frame_chunk`, whose arrays go in as bare addresses (c_void_p), so a
-    caller passes only arrays it made itself, C-contiguous and of the dtype
-    the comment below gives, and `sampler_check`."""
+    `frame_chunk` and `frame_llrs`, whose arrays go in as bare addresses
+    (c_void_p), so a caller passes only arrays it made itself, C-contiguous
+    and of the dtype the comments below give, and `sampler_check`."""
     import ctypes
 
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     lib = ctypes.CDLL(str(path))
     # B, N, K, L, the master seed's little-endian uint32 words and their count,
     # the first frame index, roles (N,) int8 (construction.FROZEN, INFO, PC),
-    # sigma (0.0 for noiseless frames), LLR_MAX, messages (B, K) uint8, LLRs
-    # (B, N) float64
-    lib.frame_chunk.argtypes = [i64, i64, i64, i64, ptr, i64, i64, ptr, ctypes.c_double, ctypes.c_double, ptr, ptr]
+    # messages (B, K) uint8, codeword bits (B, N) uint8, unit normals (B, N)
+    # float64 or None (NULL) to draw none
+    lib.frame_chunk.argtypes = [i64, i64, i64, i64, ptr, i64, i64, ptr, ptr, ptr, ptr]
     lib.frame_chunk.restype = ctypes.c_int  # 0, or -1 when out of memory
+    # n, codeword bits (n,) uint8, unit normals (n,) float64 (None for a
+    # noiseless sigma of 0.0), sigma, LLR_MAX, LLRs (n,) float64, which may
+    # be the normals' array
+    lib.frame_llrs.argtypes = [i64, ptr, ptr, f64, f64, ptr]
+    lib.frame_llrs.restype = None
     lib.sampler_check.argtypes = []
     lib.sampler_check.restype = ctypes.c_int  # 0 when the inline sampler draws numpy's normals
     return lib

@@ -383,6 +383,62 @@ def test_rerun_from_embedded_config_reproduces_artifact(tmp_path):
     assert strip(read_csv_rows(a + ".csv")) == strip(read_csv_rows(b + ".csv"))
 
 
+# A three-decoder, three-SNR simulate whose cells stop early at six
+# different chunks (1 to 12 of 100 frames), and the SHA-256 of its outputs
+# without their timing fields per worker count (the config echo holds the
+# count), taken when each (decoder, SNR) cell made its own frames
+EARLY_STOP_CONFIG = {
+    "code": {"N": 64, "K": 32, "scheme": "fc", "L": 5},
+    "decoder": {"t_max": 2},
+    "sim": {
+        "snr_points": [1.0, 2.0, 3.0],
+        "max_frames": 1200,
+        "min_frame_errors": 40,
+        "master_seed": 2028,
+        "batch_frames": 100,
+    },
+}
+EARLY_STOP_DIGESTS = {
+    1: "3b811309d7500db76c526f0fb206c54e63f39db305dbaf2363c62e0e6f249f35",
+    2: "bbefc6e6aafe7179ca95872a502cab005bc655392e47cca449ce4ec10c528407",
+}
+
+
+def simulate_digest(prefix: str) -> str:
+    """SHA-256 of a simulate's .csv without its last column (seconds), its
+    .json without the timing block and the cells' seconds, and its .dat."""
+    h = hashlib.sha256()
+    for line in Path(prefix + ".csv").read_text().splitlines():
+        h.update((line if line.startswith("#") else line.rsplit(",", 1)[0]).encode() + b"\n")
+    doc = json.loads(Path(prefix + ".json").read_text())
+    del doc["timing"]
+    for result in doc["results"]:
+        for cell in result["cells"]:
+            del cell["seconds"]
+    h.update(json.dumps(doc, indent=2).encode())
+    h.update(Path(prefix + ".dat").read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("engines", ["compiled", "numpy frames", "numpy"])
+@pytest.mark.parametrize("workers", list(EARLY_STOP_DIGESTS))
+def test_early_stopping_multi_decoder_simulate_golden_digest(tmp_path, monkeypatch, workers, engines):
+    if engines != "compiled":
+        monkeypatch.setattr(treepass, "load_frames", lambda: None)
+    if engines == "numpy":
+        monkeypatch.setattr(treepass, "load", lambda: None)
+        sim._decoder.cache_clear()
+    try:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(EARLY_STOP_CONFIG))
+        prefix = str(tmp_path / "out")
+        argv = ["simulate", "--config", str(cfg), "--out", prefix, "--decoders", "sc,pc-scan,csr-scan"]
+        assert main(argv + ["--workers", str(workers)]) == 0
+    finally:
+        sim._decoder.cache_clear()
+    assert simulate_digest(prefix) == EARLY_STOP_DIGESTS[workers]
+
+
 def test_simulate_seed_override_changes_results(tmp_path):
     cfg = write_config(tmp_path)
     a, b = str(tmp_path / "s1"), str(tmp_path / "s2")
@@ -563,7 +619,7 @@ def test_simulate_reports_a_memory_error_as_one_line(tmp_path, capsys, monkeypat
     def refuse(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(sim, "chunk_llrs", refuse)
+    monkeypatch.setattr(sim, "chunk_frames", refuse)
     assert main(["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "sim")]) == 1
     assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
     assert not (tmp_path / "sim.csv").exists()
@@ -575,6 +631,22 @@ def test_simulate_rejects_more_workers_than_the_cap(tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: invalid sim config: workers must be in [1, 256], got 257\n"
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_rejects_chunks_over_the_memory_ceiling(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chunk or a thread was started")
+
+    monkeypatch.setattr(sim, "chunk_frames", refuse)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", refuse)
+    code = {"N": 1024, "K": 512, "scheme": "fc", "A": 0.5}
+    s = {**BASE_CONFIG["sim"], "batch_frames": 2**27, "max_frames": 2**27}
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", write_config(tmp_path, code=code, sim=s), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: invalid sim config: the chunks in flight would hold ") and "ceiling" in err
     assert not (tmp_path / "sim.csv").exists()
 
 

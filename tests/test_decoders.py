@@ -1109,12 +1109,13 @@ class _TypedLibrary:
     [
         (treepass.SOURCE, "scan_decode", treepass.open_library),
         (treepass.FRAME_SOURCE, "frame_chunk", treepass.open_frame_library),
+        (treepass.FRAME_SOURCE, "frame_llrs", treepass.open_frame_library),
     ],
 )
 def test_c_entry_points_match_their_ctypes_types(source, name, opener):
     # arrays go in as unchecked c_void_p, so a shifted or dropped argument
     # would reach C as some other value without any error
-    c_types = {"int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    c_types = {"int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
     restype, params = c_prototype(source, name)
     with mock.patch.object(ctypes, "CDLL", _TypedLibrary):
         fn = getattr(opener(Path("unused.so")), name)

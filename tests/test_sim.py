@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcpolar.channel import frame_batch
-from pcpolar.construction import CodeSpec, build_code
+from pcpolar.construction import N_MAX, CodeSpec, build_code
 from pcpolar import sim, treepass
 from pcpolar.sim import DecoderConfig, SimConfig, run_cell, sweep, wilson_interval
 
@@ -478,6 +479,96 @@ def test_sampler_mismatch_falls_back_to_the_numpy_chain(monkeypatch):
         treepass.load_frames.cache_clear()
 
 
+# three decoders at three SNR points whose cells stop early at six
+# different chunks, over the same frames
+LOCKSTEP_DECODERS = (
+    DecoderConfig(kind="sc"),
+    DecoderConfig(kind="pc-scan", t_max=2),
+    DecoderConfig(kind="csr-scan", t_max=2),
+)
+
+
+def lockstep_config(**kw):
+    return small_config(
+        spec=CodeSpec(N=64, K=32, scheme="fc", L=5),
+        decoder=LOCKSTEP_DECODERS[0],
+        snr_points=(1.0, 2.0, 3.0),
+        max_frames=1200,
+        min_frame_errors=40,
+        master_seed=2028,
+        **kw,
+    )
+
+
+def cell_counts(cells):
+    return [(c.decoder, c.snr_db, c.iteration, c.frames, c.frame_errors, c.bit_errors) for c in cells]
+
+
+@pytest.mark.parametrize("frames", ["compiled", "numpy"])
+@pytest.mark.parametrize("batch", [37, 100])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_lockstep_sweep_cells_equal_their_own_run_cell(workers, batch, frames):
+    cfg = lockstep_config(workers=workers, batch_frames=batch)
+    with numpy_chain() if frames == "numpy" else contextlib.nullcontext():
+        got = sweep(cfg, LOCKSTEP_DECODERS).cells
+        want = [
+            c for dec in LOCKSTEP_DECODERS for snr in cfg.snr_points
+            for c in run_cell(dataclasses.replace(cfg, decoder=dec), snr)
+        ]
+    assert cell_counts(got) == cell_counts(want)
+    assert len({c.frames for c in got}) >= 5  # the cells stop at different chunks
+    assert all(c.seconds > 0 for c in got)
+
+
+def test_lockstep_sweep_makes_each_chunk_once(monkeypatch):
+    cfg = lockstep_config(batch_frames=100)
+    want = cell_counts(sweep(cfg, LOCKSTEP_DECODERS).cells)
+    made = []
+    real = sim.chunk_frames
+
+    def recording(config, lo, hi, *noise):
+        made.append(lo)
+        return real(config, lo, hi, *noise)
+
+    monkeypatch.setattr(sim, "chunk_frames", recording)
+    cells = sweep(cfg, LOCKSTEP_DECODERS).cells
+    assert cell_counts(cells) == want
+    assert made == list(range(0, max(c.frames for c in cells), 100))
+
+
+@needs_frames
+def test_lockstep_sweep_calls_frame_chunk_once_per_chunk_index():
+    cfg = lockstep_config(batch_frames=100)
+    lib = mock.Mock(wraps=treepass.load_frames())
+    with mock.patch.object(treepass, "load_frames", lambda: lib):
+        cells = sweep(cfg, LOCKSTEP_DECODERS).cells
+    chunks = max(c.frames for c in cells) // 100
+    assert lib.frame_chunk.call_count == chunks
+    # one LLR step per chunk and SNR point that some decoder still counts
+    assert lib.frame_llrs.call_count == sum(
+        len({c.snr_db for c in cells if c.frames > 100 * i}) for i in range(chunks)
+    )
+
+
+def test_chunk_memory_ceiling():
+    spec = CodeSpec(N=1024, K=512, scheme="fc", A=0.5)
+    with pytest.raises(ValueError, match="ceiling"):
+        small_config(spec=spec, batch_frames=2**27, max_frames=2**27)
+    # a chunk holds no more frames than max_frames, and only `workers` chunks run at once
+    small_config(spec=spec, batch_frames=2**27, max_frames=1000, workers=256)
+    with pytest.raises(ValueError, match="ceiling"):
+        small_config(spec=spec, batch_frames=10**5, max_frames=10**6, workers=8)
+    # the defaults at the longest code, and the benchmark's two sweeps
+    SimConfig(spec=CodeSpec(N=N_MAX, K=N_MAX), decoder=DecoderConfig(kind="pc-scan", t_max=47), snr_points=(1.0, 2.0))
+    SimConfig(spec=spec, decoder=DecoderConfig(kind="pc-scan", t_max=4), snr_points=(2.5,), max_frames=500)
+    SimConfig(
+        spec=CodeSpec(N=64, K=32, scheme="fc", A=0.5), decoder=DecoderConfig(kind="sc"),
+        snr_points=(1.0, 2.0, 3.0, 4.0), max_frames=10_000, workers=2,
+    )
+    cfg = small_config(spec=spec, snr_points=(1.0, 2.0), decoder=DecoderConfig(kind="pc-scan", t_max=4))
+    assert cfg.chunk_memory == 100 * (512 + 1024 + 8 * 1024 + 8 * 1024 + 4 * 512)
+
+
 GOLDEN_SIM_TESTS = {
     "workers": test_results_independent_of_workers,
     **{f"sweep-{kind}": functools.partial(test_seeded_sweep_counts_golden, kind) for kind in SWEEP_COUNTS},
@@ -516,7 +607,9 @@ def test_frame_chunk_build_passes_its_sampler_check(tmp_path):
 # table probe and 2**16 draws, hundreds through the replay slow path), then
 # chunks past 256 frames (300 of N=1024 draw 307200 normals), single frames,
 # frames across 2**32, seeds of one, two and four words and noiseless
-# chunks, each against the plain build's
+# chunks, each LLR step in place over the normals, and lockstep sweeps over
+# three SNR points, whose first two steps go to a spare buffer, with and
+# without noise, each against the plain build's
 SANITIZED_CHUNKS = """
 import sys
 from unittest import mock
@@ -537,6 +630,15 @@ for (K, N), A in t.CHUNK_CODES.items():
                         outs.add(t.chunk_bytes(spec, seed, noiseless, lo, hi))
                 if len(outs) != 1:
                     changed.append((K, N, scheme, noiseless, seed, lo))
+# lockstep sweeps: LLRs into the spare buffer and in place, noiseless too
+for noiseless in (False, True):
+    cfg = t.lockstep_config(noiseless=noiseless)
+    outs = set()
+    for lib in libs:
+        with mock.patch.object(treepass, "load_frames", lambda: lib):
+            outs.add(tuple(t.cell_counts(t.sweep(cfg, t.LOCKSTEP_DECODERS).cells)))
+    if len(outs) != 1:
+        changed.append(("lockstep", noiseless))
 print(changed)
 sys.exit(bool(changed))
 """
