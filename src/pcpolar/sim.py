@@ -185,16 +185,14 @@ def chunk_frames(
     config: SimConfig, lo: int, hi: int, noise: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Messages (B, K) uint8, codeword bits x (B, N) uint8 and unit normals
-    (B, N) float64 of frames [lo, hi), which `frame_llrs` turns into the
-    channel LLRs at any SNR point.
+    (B, N) float64 of frames [lo, hi), from which `frame_llrs` forms the
+    LLRs at any SNR point.
 
     One call into the compiled frame chunk (framechunk.c) makes them,
     bitwise as `frame_batch` -> `encode` does, for any master seed and
-    frame index, writing the normals into `noise` where it is given (a
-    C-contiguous (B, N) float64 array); for a noiseless config it draws no
-    normals and leaves that array unwritten, since no LLR reads it. That
-    numpy chain runs where the library cannot be built or loaded, and
-    returns arrays of its own.
+    frame index, with the normals in `noise` where given (C-contiguous
+    (B, N) float64), none drawn for a noiseless config. That numpy chain,
+    with arrays of its own, runs where the library cannot be loaded.
     """
     spec = config.spec
     rolemap, L = _code(spec)
@@ -339,21 +337,18 @@ def _run_cells(config: SimConfig, cells) -> list[CellStats]:
     """
     live = [tuple(range(len(cells)))]  # one tuple, replaced whole, so a task reads it in one step
     frames = [0] * len(cells)
-    ferr = [np.zeros(dec.iterations, dtype=np.int64) for dec, _ in cells]
-    berr = [np.zeros(dec.iterations, dtype=np.int64) for dec, _ in cells]
+    errors = [np.zeros((dec.iterations, 2), dtype=np.int64) for dec, _ in cells]  # per iteration: frame, bit
     seconds = [0.0] * len(cells)
     with closing(_chunk_results(config, cells, live)) as chunks:
         for n, counts in chunks:
             for c in live[0]:
                 per_iter, secs = counts[c]
-                if len(per_iter) != len(ferr[c]):
+                if len(per_iter) != len(errors[c]):
                     raise RuntimeError("decoder reported an unexpected iteration count")
                 frames[c] += n
-                for t, (fe, be) in enumerate(per_iter):
-                    ferr[c][t] += fe
-                    berr[c][t] += be
+                errors[c] += per_iter
                 seconds[c] += secs
-            live[0] = tuple(c for c in live[0] if ferr[c][-1] < config.min_frame_errors)
+            live[0] = tuple(c for c in live[0] if errors[c][-1, 0] < config.min_frame_errors)
             if not live[0]:
                 break
     return [
@@ -362,8 +357,8 @@ def _run_cells(config: SimConfig, cells) -> list[CellStats]:
             snr_db=snr_db,
             iteration=t + 1,
             frames=frames[c],
-            frame_errors=int(ferr[c][t]),
-            bit_errors=int(berr[c][t]),
+            frame_errors=int(errors[c][t, 0]),
+            bit_errors=int(errors[c][t, 1]),
             info_bits_total=frames[c] * config.spec.K,
             seconds=seconds[c],
         )
