@@ -270,9 +270,9 @@ def _parse_llr_line(line: str, N: int) -> np.ndarray:
     return np.array(vals)
 
 
-def _json_llrs(values) -> list:
+def _json_llrs(values: np.ndarray) -> list:
     """LLRs as strict-JSON values: floats, with +-inf as the strings "inf"/"-inf"."""
-    return [float(v) if np.isfinite(v) else ("inf" if v > 0 else "-inf") for v in values]
+    return [v if math.isfinite(v) else ("inf" if v > 0 else "-inf") for v in values.tolist()]
 
 
 def cmd_decode(args) -> int:
@@ -292,18 +292,19 @@ def cmd_decode(args) -> int:
     if args.t_max is not None:
         dec = replace(dec, t_max=args.t_max)
     decoder = make_decoder(rolemap, L, dec)
-    results = []
-    for llr in frames:
-        r = decoder.decode(llr, dec.iterations)
-        results.append(
-            {
-                "info_bits": [int(b) for b in r.info_bits],
-                "leaf_posteriors": _json_llrs(r.leaf_posteriors),
-                "coded_extrinsics": _json_llrs(r.coded_extrinsics),
-                "coded_posteriors": _json_llrs(r.coded_posteriors),
-                "iterations_run": r.iterations_run,
-            }
+    r = decoder.decode(np.array(frames), dec.iterations)
+    results = [
+        {
+            "info_bits": bits,
+            "leaf_posteriors": _json_llrs(leaf),
+            "coded_extrinsics": _json_llrs(extrinsic),
+            "coded_posteriors": _json_llrs(posterior),
+            "iterations_run": r.iterations_run,
+        }
+        for bits, leaf, extrinsic, posterior in zip(
+            r.info_bits.tolist(), r.leaf_posteriors, r.coded_extrinsics, r.coded_posteriors
         )
+    ]
     doc = {
         "tool": "pcpolar",
         "version": __version__,

@@ -91,7 +91,7 @@ class CodeSpec:
             raise ValueError(f"register length L must be >= 1, got {self.L}")
         if self.L is None and self.scheme != "none" and self.A is None:
             raise ValueError(f"scheme {self.scheme!r} needs an explicit L or a coefficient A")
-        object.__setattr__(self, "mc_weights", tuple(self.mc_weights))  # a list is unhashable
+        object.__setattr__(self, "mc_weights", tuple(self.mc_weights))  # a list would compare unequal, and is mutable
         if self.mc_weights not in ((1,), (1, 2)):
             raise ValueError(f"mc_weights must be (1,) or (1, 2), got {self.mc_weights}")
         if self.nr_npc < 0 or self.nr_npc_wm < 0:

@@ -125,7 +125,7 @@ class DecoderConfig:
     schedule: str = SEQUENTIAL
 
     def __post_init__(self):
-        for name in ("lambda_p", "lambda_i"):  # as lists they would make the config unhashable
+        for name in ("lambda_p", "lambda_i"):  # so a config from lists equals one from tuples, and stays immutable
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.kind not in DECODER_KINDS:
             raise ValueError(f"unknown decoder {self.kind!r}, expected one of {DECODER_KINDS}")

@@ -11,15 +11,16 @@ forms each SNR point's channel LLRs from them (`frame_llrs`) and decodes
 those with every decoder whose cell is still running when the task
 starts. Both steps are one call each into the compiled frame chunk, which
 reads the code's role map as `encode` does, or else the numpy chain they
-are bitwise equal to; `chunk_llrs` is the two for one SNR point.
+are bitwise equal to.
 SCAN-family decoders report statistics for every iteration 1..t_max out
 of a single decode, of the decisions only (soft=False), since a count
 reads no soft output.
-With workers > 1 the tasks run on a thread pool (`_chunk_results`) and
-share one cached decoder per decoder config, which keeps no per-decode
-state. A SimConfig checks, when it is built, that each SNR point gives a
-positive finite noise sigma, so no chunk meets a bad one, and that the
-chunks able to run at once stay under CHUNK_MEMORY_MAX.
+A sweep builds its code and each of its decoders once, before any chunk
+runs; with workers > 1 the tasks run on a thread pool (`_chunk_results`)
+and share those decoders, which keep no per-decode state. A SimConfig
+checks, when it is built, that each SNR point gives a positive finite
+noise sigma, so no chunk meets a bad one, and that the chunks able to run
+at once stay under CHUNK_MEMORY_MAX.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 
 from . import treepass
 from .channel import LLR_MAX, channel_llrs, ebn0_to_sigma, frame_batch, modulate_bpsk
-from .construction import CodeSpec, build_code
+from .construction import CodeSpec, RoleMap, build_code
 # DECODER_KINDS and DecoderConfig stay importable from this module too
 from .decoders import DECODER_KINDS, DecoderConfig, make_decoder
 from .encoder import encode
@@ -170,23 +171,13 @@ def wilson_interval(errors: int, trials: int, confidence: float = 0.95) -> tuple
     return lo, hi
 
 
-@lru_cache(maxsize=64)
-def _code(spec: CodeSpec):
-    """The code's role map and register length L, built once per spec."""
-    return build_code(spec)
-
-
-@lru_cache(maxsize=64)
-def _decoder(spec: CodeSpec, dec: DecoderConfig):
-    return make_decoder(*_code(spec), dec)
-
-
 def chunk_frames(
-    config: SimConfig, lo: int, hi: int, noise: np.ndarray | None = None
+    config: SimConfig, rolemap: RoleMap, L: int, lo: int, hi: int, noise: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Messages (B, K) uint8, codeword bits x (B, N) uint8 and unit normals
-    (B, N) float64 of frames [lo, hi), from which `frame_llrs` forms the
-    LLRs at any SNR point.
+    (B, N) float64 of frames [lo, hi) of the code (rolemap, L) that
+    `build_code(config.spec)` gives, from which `frame_llrs` forms the LLRs
+    at any SNR point.
 
     One call into the compiled frame chunk (framechunk.c) makes them,
     bitwise as `frame_batch` -> `encode` does, for any master seed and
@@ -195,7 +186,6 @@ def chunk_frames(
     with arrays of its own, runs where the library cannot be loaded.
     """
     spec = config.spec
-    rolemap, L = _code(spec)
     lib = treepass.load_frames()
     if lib is None:
         msgs, noise = frame_batch(config.master_seed, lo, hi, spec.K, spec.N)
@@ -237,27 +227,21 @@ def frame_llrs(config: SimConfig, x: np.ndarray, noise: np.ndarray, snr_db: floa
     return out
 
 
-def chunk_llrs(config: SimConfig, snr_db: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Messages (B, K) uint8 and channel LLRs (B, N) of frames [lo, hi) at
-    snr_db: `chunk_frames`, then one `frame_llrs` step over the normals."""
-    msgs, x, noise = chunk_frames(config, lo, hi)
-    return msgs, frame_llrs(config, x, noise, snr_db, noise)
-
-
-def _errors(dec: DecoderConfig, spec: CodeSpec, llr: np.ndarray, msgs: np.ndarray) -> list[tuple[int, int]]:
+def _errors(decoder, iterations: int, llr: np.ndarray, msgs: np.ndarray) -> list[tuple[int, int]]:
     """Per-iteration (frame errors, bit errors) of one decisions-only decode
     of llr against msgs; the decode's result is freed on return."""
     per_iter = []
-    for bits in _decoder(spec, dec).decode(llr, dec.iterations, soft=False).iteration_info_bits:
+    for bits in decoder.decode(llr, iterations, soft=False).iteration_info_bits:
         errs = bits != msgs
         per_iter.append((int(errs.any(axis=1).sum()), int(errs.sum())))
     return per_iter
 
 
-def _chunk_task(config: SimConfig, cells, live: list, lo: int, hi: int):
-    """Counters of frames [lo, hi) for each (decoder, SNR) cell in `cells`
-    that `live[0]` still names when the task starts: (frames, {cell index:
-    (per-iteration (ferr, berr), seconds)}).
+def _chunk_task(config: SimConfig, rolemap: RoleMap, L: int, cells, live: list, lo: int, hi: int):
+    """Counters of frames [lo, hi) of the code (rolemap, L) for each
+    (decoder config, decoder, SNR) cell in `cells` that `live[0]` still
+    names when the task starts: (frames, {cell index: (per-iteration
+    (ferr, berr), seconds)}).
 
     The frames are made once. Each SNR point's LLRs go into one spare
     buffer, the last point's in place over the normals, and every live
@@ -268,7 +252,7 @@ def _chunk_task(config: SimConfig, cells, live: list, lo: int, hi: int):
     t0 = time.perf_counter()
     by_snr: dict[float, list[int]] = {}
     for c in live[0]:
-        by_snr.setdefault(cells[c][1], []).append(c)
+        by_snr.setdefault(cells[c][2], []).append(c)
     # The normals and the spare buffer are one allocation. glibc raises its
     # mmap threshold to the largest block freed, and trims the heap once
     # twice that lies free at its top; the chunk's other arrays stay below
@@ -276,7 +260,7 @@ def _chunk_task(config: SimConfig, cells, live: list, lo: int, hi: int):
     # trimmed and faulted in again (two blocks took 2000 page faults per
     # N=64 sweep of 40,000 frames).
     planes = np.empty((min(len(by_snr), 2), hi - lo, config.spec.N))
-    msgs, x, noise = chunk_frames(config, lo, hi, planes[0])
+    msgs, x, noise = chunk_frames(config, rolemap, L, lo, hi, planes[0])
     spare = planes[-1]
     shared = time.perf_counter() - t0
     counts = {}
@@ -286,13 +270,14 @@ def _chunk_task(config: SimConfig, cells, live: list, lo: int, hi: int):
         shared += time.perf_counter() - t0
         for c in group:
             t0 = time.perf_counter()
-            counts[c] = _errors(cells[c][0], config.spec, llr, msgs), time.perf_counter() - t0
+            dec, decoder, _ = cells[c]
+            counts[c] = _errors(decoder, dec.iterations, llr, msgs), time.perf_counter() - t0
     share = shared / len(counts)
     return hi - lo, {c: (per_iter, secs + share) for c, (per_iter, secs) in counts.items()}
 
 
-def _chunk_results(config: SimConfig, cells, live: list):
-    """Yield `_chunk_task` results in frame order, fanned out over a thread pool.
+def _chunk_results(config: SimConfig, task):
+    """Yield `task(lo, hi)` over the chunks in frame order, fanned out over a thread pool.
 
     The pool holds one chunk per worker plus one queued, and a chunk is
     only submitted once the consumer has taken an earlier result, so when
@@ -308,7 +293,7 @@ def _chunk_results(config: SimConfig, cells, live: list):
     bounds = ((lo, min(lo + step, config.max_frames)) for lo in range(0, config.max_frames, step))
     if config.workers == 1:
         for lo, hi in bounds:
-            yield _chunk_task(config, cells, live, lo, hi)
+            yield task(lo, hi)
         return
     with ThreadPoolExecutor(max_workers=config.workers) as ex:
         pending: deque = deque()
@@ -316,7 +301,7 @@ def _chunk_results(config: SimConfig, cells, live: list):
             for lo, hi in bounds:
                 if len(pending) > config.workers:
                     yield pending.popleft().result()
-                pending.append(ex.submit(_chunk_task, config, cells, live, lo, hi))
+                pending.append(ex.submit(task, lo, hi))
             while pending:
                 yield pending.popleft().result()
         finally:
@@ -324,10 +309,14 @@ def _chunk_results(config: SimConfig, cells, live: list):
                 fut.cancel()
 
 
-def _run_cells(config: SimConfig, cells) -> list[CellStats]:
-    """Simulate (decoder, SNR) cells over the same frames, in lockstep by
-    chunk index, each until max_frames or min_frame_errors; their stats in
-    cell order, then iteration.
+def _run_cells(config: SimConfig, decoders: Sequence[DecoderConfig], snr_points: Sequence[float]) -> list[CellStats]:
+    """Simulate the (decoder, SNR) cells of each decoder at each SNR point
+    over the same frames, in lockstep by chunk index, each until max_frames
+    or min_frame_errors; their stats decoder by decoder, then by SNR point,
+    then by iteration.
+
+    The code and each decoder are built once, before any chunk runs, and
+    the chunk threads share them: a decoder keeps no per-decode state.
 
     Each cell's stopping rule looks at its final iteration's cumulative
     frame errors at chunk boundaries in frame order, so the set of frames
@@ -335,11 +324,15 @@ def _run_cells(config: SimConfig, cells) -> list[CellStats]:
     `live`, which the tasks read when they start; a task that started
     before the stop still decodes it, and that result goes uncounted.
     """
+    rolemap, L = build_code(config.spec)
+    built = [(dec, make_decoder(rolemap, L, dec)) for dec in decoders]
+    cells = [(dec, decoder, snr_db) for dec, decoder in built for snr_db in snr_points]
     live = [tuple(range(len(cells)))]  # one tuple, replaced whole, so a task reads it in one step
     frames = [0] * len(cells)
-    errors = [np.zeros((dec.iterations, 2), dtype=np.int64) for dec, _ in cells]  # per iteration: frame, bit
+    errors = [np.zeros((dec.iterations, 2), dtype=np.int64) for dec, _, _ in cells]  # per iteration: frame, bit
     seconds = [0.0] * len(cells)
-    with closing(_chunk_results(config, cells, live)) as chunks:
+    task = partial(_chunk_task, config, rolemap, L, cells, live)
+    with closing(_chunk_results(config, task)) as chunks:
         for n, counts in chunks:
             for c in live[0]:
                 per_iter, secs = counts[c]
@@ -362,7 +355,7 @@ def _run_cells(config: SimConfig, cells) -> list[CellStats]:
             info_bits_total=frames[c] * config.spec.K,
             seconds=seconds[c],
         )
-        for c, (dec, snr_db) in enumerate(cells)
+        for c, (dec, _, snr_db) in enumerate(cells)
         for t in range(dec.iterations)
     ]
 
@@ -370,7 +363,7 @@ def _run_cells(config: SimConfig, cells) -> list[CellStats]:
 def run_cell(config: SimConfig, snr_db: float) -> list[CellStats]:
     """Simulate config.decoder at one SNR point until max_frames or
     min_frame_errors: the one-cell case of `sweep`."""
-    return _run_cells(config, [(config.decoder, snr_db)])
+    return _run_cells(config, (config.decoder,), (snr_db,))
 
 
 def sweep(config: SimConfig, decoders: Sequence[DecoderConfig] | None = None) -> SimResult:
@@ -378,6 +371,5 @@ def sweep(config: SimConfig, decoders: Sequence[DecoderConfig] | None = None) ->
     (config.decoder alone by default) at each of config.snr_points, run in
     lockstep over one pass of the frames; the cells come decoder by decoder,
     then by SNR point, then by iteration, each as `run_cell` gives it."""
-    decoders = (config.decoder,) if decoders is None else tuple(decoders)
-    cells = [(dec, snr_db) for dec in decoders for snr_db in config.snr_points]
-    return SimResult(config=config, cells=_run_cells(config, cells))
+    decoders = (config.decoder,) if decoders is None else decoders
+    return SimResult(config=config, cells=_run_cells(config, decoders, config.snr_points))

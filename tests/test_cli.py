@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,17 +6,21 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcpolar import __version__, sim, treepass
 from pcpolar.channel import channel_llrs, modulate_bpsk
 from pcpolar.cli import main, read_result_csv, snr_at_fer
-from pcpolar.construction import CodeSpec, build_code
+from pcpolar.construction import N_MAX, SCHEMES, CodeSpec, build_code
 from pcpolar.decoders import (
     DECODER_KINDS,
+    SCHEDULES,
     CsrScanDecoder,
     DecoderConfig,
     PcScanDecoder,
@@ -266,6 +271,48 @@ def test_decode_is_make_decoder_decode(tmp_path, kind):
     assert main(["decode", "--config", cfg, "--llrs", ones, "--decoder", kind, "--t-max", "0"]) == 1
 
 
+# sha256 of the decode --in JSON bytes, without the engine line, over
+# DECODE_FRAMES; the same on both engines
+DECODE_CODES = {"fc": {"N": 64, "K": 32, "scheme": "fc", "L": 5}, "none": {"N": 64, "K": 32}}
+DECODE_DIGESTS = {
+    ("fc", "sc"): "31ef94176f6f245a2b3771dc0d278ce6713d34fc4e0ea90817d1011ce678fc7f",
+    ("fc", "pc-scan"): "7019c874276d3542689c159aa18a60e7422840cc20cae2ccaa0f61bd41753aca",
+    ("fc", "csr-scan"): "13766be60b447265fc0d82aa259f554f1fe621cbd2f9aa74639125718dca5269",
+    ("none", "scan"): "6cafbef8dd34af9cc4112184af923e20e6c8a8e9035ae13329746576399658d2",
+}
+
+
+def decode_frames_text() -> str:
+    """20 N=64 LLR lines: noisy frames, then lines holding 0.0, -0.0,
+    values above LLR_MAX and +-inf; the first line comma-separated."""
+    llr = np.random.default_rng(29).normal(1.0, 2.0, (20, 64))
+    llr[16, :12] = 0.0
+    llr[17, :12] = -0.0
+    llr[18, ::4] = np.where(llr[18, ::4] < 0, -1e300, 2e9)
+    llr[19, :6] = [np.inf, -np.inf, 0.0, -0.0, np.inf, 5e9]
+    lines = [" ".join(repr(float(v)) for v in row) for row in llr]
+    lines[0] = lines[0].replace(" ", ", ")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("engine", ["c", "numpy"])
+@pytest.mark.parametrize("code, kind", list(DECODE_DIGESTS))
+def test_decode_file_json_golden_digest(tmp_path, monkeypatch, code, kind, engine):
+    if engine == "numpy":
+        monkeypatch.setattr(treepass, "load", lambda: None)
+    elif treepass.load() is None:
+        pytest.skip("no compiled tree pass on this platform")
+    cfg = write_config(tmp_path, code=DECODE_CODES[code], decoder={"kind": kind, "t_max": 3}, sim=None)
+    frames = tmp_path / "frames.txt"
+    frames.write_text(decode_frames_text())
+    out = tmp_path / "dec.json"
+    assert main(["decode", "--config", cfg, "--in", str(frames), "--out", str(out)]) == 0
+    text = out.read_text()
+    line = f'  "engine": "{engine}",\n'
+    assert line in text
+    assert hashlib.sha256(text.replace(line, "").encode()).hexdigest() == DECODE_DIGESTS[code, kind]
+
+
 def test_decode_rejects_a_file_with_no_llr_lines(tmp_path, capsys):
     cfg = write_config(tmp_path)
     for text in ("", "\n  \n"):
@@ -320,6 +367,30 @@ def test_engine_is_reported(tmp_path, monkeypatch):
     assert engines("csr-scan") == engines("sc") == ("numpy", "numpy", frames)
     monkeypatch.setattr(treepass, "load_frames", lambda: None)
     assert engines("csr-scan") == engines("sc") == ("numpy", "numpy", "numpy")
+
+
+def test_simulate_reports_the_engine_its_decoders_ran_on(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    built = []
+    real = sim.make_decoder
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    def simulate() -> str:
+        """The simulate JSON's engine, checked against the decoders this run built."""
+        built.clear()
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--decoders", "sc,csr-scan"]
+        assert main(argv) == 0
+        reported = json.loads((tmp_path / "s.json").read_text())["timing"]["engine"]
+        assert len(built) == 2 and [d.engine for d in built] == [reported] * 2
+        return reported
+
+    monkeypatch.setattr(sim, "make_decoder", recording)
+    assert simulate() == ("numpy" if treepass.load() is None else "c")
+    monkeypatch.setattr(treepass, "load", lambda: None)
+    assert simulate() == "numpy"
 
 
 def test_simulate_noiseless_flag(tmp_path):
@@ -427,15 +498,11 @@ def test_early_stopping_multi_decoder_simulate_golden_digest(tmp_path, monkeypat
         monkeypatch.setattr(treepass, "load_frames", lambda: None)
     if engines == "numpy":
         monkeypatch.setattr(treepass, "load", lambda: None)
-        sim._decoder.cache_clear()
-    try:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(EARLY_STOP_CONFIG))
-        prefix = str(tmp_path / "out")
-        argv = ["simulate", "--config", str(cfg), "--out", prefix, "--decoders", "sc,pc-scan,csr-scan"]
-        assert main(argv + ["--workers", str(workers)]) == 0
-    finally:
-        sim._decoder.cache_clear()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(EARLY_STOP_CONFIG))
+    prefix = str(tmp_path / "out")
+    argv = ["simulate", "--config", str(cfg), "--out", prefix, "--decoders", "sc,pc-scan,csr-scan"]
+    assert main(argv + ["--workers", str(workers)]) == 0
     assert simulate_digest(prefix) == EARLY_STOP_DIGESTS[workers]
 
 
@@ -686,6 +753,96 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+# Per config key: values in range, kept tiny (N <= 64, max_frames <= 200,
+# workers <= 2), so a drawn run is short and starts at most two threads,
+# and values out of range, which the configs refuse before any thread
+# starts or any chunk is made
+# (edge_configs draws N from 4, 8, ..., 64 and K up to N)
+IN_RANGE = {
+    "code": {
+        "scheme": st.sampled_from(SCHEMES),
+        "A": st.none() | st.floats(0.1, 2.0),
+        "L": st.none() | st.integers(1, 8),
+        "mc_weights": st.sampled_from([[1], [1, 2]]),
+        "nr_npc": st.integers(0, 8),
+        "nr_npc_wm": st.integers(0, 4),
+    },
+    "decoder": {
+        "kind": st.sampled_from(DECODER_KINDS),
+        "t_max": st.integers(1, 4),
+        "lambda_p": st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+        "lambda_i": st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+        "schedule": st.sampled_from(SCHEDULES),
+    },
+    "sim": {
+        "snr_points": st.lists(st.floats(-2.0, 6.0), min_size=1, max_size=3),
+        "max_frames": st.integers(1, 200),
+        "min_frame_errors": st.integers(1, 10**6),
+        "master_seed": st.integers(0, 2**70),
+        "workers": st.integers(1, 2),
+        "noiseless": st.booleans(),
+        "batch_frames": st.integers(1, 200) | st.just(10**9),
+    },
+}
+OUT_OF_RANGE = {
+    "N": [-1, 0, 2, 3, 5, 48, 2 * N_MAX, 2**70],
+    "K": [-1, 0, 65, 2**70],
+    "scheme": ["", "pc", "FC"],
+    "A": [-1.0, 0.0, 8.5, 1e300],
+    "L": [-3, 0],
+    "mc_weights": [[], [0], [2], [1, 2, 3]],
+    "nr_npc": [-1, 100, 2**70],
+    "nr_npc_wm": [-1, 100],
+    "kind": ["", "warp", "SC"],
+    "t_max": [-1, 0, 2**70],
+    "lambda_p": [[], [-1.0], [1.0, -0.5], [1e308]],
+    "lambda_i": [[], [-1.0], [1.0, -0.5], [1e308]],
+    "schedule": ["", "parallel"],
+    "snr_points": [[], [1e6], [-1e300], [2.0, 1e6]],
+    "max_frames": [-1, 0, 2**63 + 1],
+    "min_frame_errors": [-1, 0],
+    "master_seed": [-1, -(2**70)],
+    "workers": [-1, 0, 257, 2**70],
+    "noiseless": [0, 1],
+    "batch_frames": [-5, 0],
+}
+# JSON values of the wrong type for most keys, non-finite numbers included
+WRONG_TYPE = (
+    st.none() | st.booleans() | st.text(max_size=3) | st.floats() | st.integers(-3, 3)
+    | st.lists(st.text(max_size=2), min_size=1, max_size=2) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)
+)
+CONFIG_KEYS = [("code", "N"), ("code", "K")] + [(section, key) for section, keys in IN_RANGE.items() for key in keys]
+
+
+@st.composite
+def edge_configs(draw):
+    """A config of in-range values, N and K always given, with up to three
+    keys set to a value out of range or of the wrong JSON type."""
+    N = draw(st.sampled_from([4, 8, 16, 32, 64]))
+    cfg = {section: draw(st.fixed_dictionaries({}, optional=keys)) for section, keys in IN_RANGE.items()}
+    cfg["code"].update(N=N, K=draw(st.integers(1, N)))
+    for section, key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3, unique=True)):
+        cfg[section][key] = draw(st.sampled_from(OUT_OF_RANGE[key]) | WRONG_TYPE)
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=edge_configs())
+@example(cfg=BASE_CONFIG)
+def test_simulate_config_edges_exit_zero_or_one_error_line(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", str(Path(tmp) / "sim")
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["simulate", "--config", str(path), "--out", out])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [f"wrote {out}.csv, {out}.json, {out}.dat"]
+        else:
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not Path(out + ".csv").exists()
 
 
 def test_console_entry_point_runs():

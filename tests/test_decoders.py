@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -1236,12 +1237,11 @@ def test_sanitized_tree_pass_equals_the_plain_build(tmp_path):
 
 @pytest.fixture
 def fresh_loader(tmp_path, monkeypatch):
-    """treepass.load() with its process cache emptied and the build cache
-    under tmp_path; the real loader is restored afterwards."""
+    """treepass.load() with a process cache of its own, still empty, and the
+    build cache under tmp_path; the real loader is restored afterwards."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    treepass.load.cache_clear()
-    yield tmp_path / "cache" / "pcpolar"
-    treepass.load.cache_clear()
+    monkeypatch.setattr(treepass, "load", functools.cache(treepass.load.__wrapped__))
+    return tmp_path / "cache" / "pcpolar"
 
 
 FALLBACK_KEYS = [k for k in GOLDEN_DIGESTS if k.startswith("64-fc/")]

@@ -165,6 +165,19 @@ def test_list_valued_config_fields_run_as_their_tuples():
     assert counts[0] == counts[1]
 
 
+def recording_make_decoder(monkeypatch) -> list:
+    """The decoders that sims build from here on, in the order built."""
+    built = []
+    real = sim.make_decoder
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(sim, "make_decoder", recording)
+    return built
+
+
 def test_results_independent_of_workers():
     base = small_config(max_frames=600, batch_frames=150)
     counts = {}
@@ -175,16 +188,13 @@ def test_results_independent_of_workers():
     assert counts[1] == counts[2] == counts[3]
 
 
-def test_numpy_engine_results_independent_of_workers():
-    # the worker threads share one cached decoder, here on the numpy engine
+def test_numpy_engine_results_independent_of_workers(monkeypatch):
+    # the worker threads share one decoder, here on the numpy engine
     cfg = small_config(spec=CodeSpec(N=64, K=32), decoder=DecoderConfig(kind="pc-scan", t_max=3), max_frames=800)
-    sim._decoder.cache_clear()
-    try:
-        with numpy_chain(), mock.patch.object(treepass, "load", lambda: None):
-            assert sim._decoder(cfg.spec, cfg.decoder).engine == "numpy"
-            runs = [run_cell(dataclasses.replace(cfg, workers=w), 2.0) for w in (1, 2)]
-    finally:
-        sim._decoder.cache_clear()
+    built = recording_make_decoder(monkeypatch)
+    with numpy_chain(), mock.patch.object(treepass, "load", lambda: None):
+        runs = [run_cell(dataclasses.replace(cfg, workers=w), 2.0) for w in (1, 2)]
+    assert [d.engine for d in built] == ["numpy", "numpy"]
     counts = [[(c.frames, c.frame_errors, c.bit_errors) for c in cells] for cells in runs]
     assert counts[0] == counts[1]
 
@@ -378,12 +388,21 @@ def numpy_chain():
     return mock.patch.object(treepass, "load_frames", lambda: None)
 
 
+def fresh_frame_loader(monkeypatch):
+    """Give treepass.load_frames() a process cache of its own, still empty,
+    for the rest of the test; the real loader is restored afterwards."""
+    monkeypatch.setattr(treepass, "load_frames", functools.cache(treepass.load_frames.__wrapped__))
+
+
 CHUNK_CODES = {(5, 8): 0.5, (32, 64): 0.5, (512, 1024): 0.5}
 
 
 def chunk_bytes(spec, seed, noiseless, lo, hi):
+    """A chunk's messages and its LLRs at 1.5 dB, formed in place over the
+    normals, as a sweep forms its last SNR point's."""
     cfg = SimConfig(spec, DecoderConfig(), (1.5,), master_seed=seed, noiseless=noiseless)
-    msgs, llr = sim.chunk_llrs(cfg, 1.5, lo, hi)
+    msgs, x, noise = sim.chunk_frames(cfg, *build_code(spec), lo, hi)
+    llr = sim.frame_llrs(cfg, x, noise, 1.5, noise)
     assert msgs.dtype == np.uint8 and msgs.shape == (hi - lo, spec.K)
     assert llr.dtype == np.float64 and llr.shape == (hi - lo, spec.N)
     return msgs.tobytes(), llr.tobytes()
@@ -469,14 +488,11 @@ def test_sampler_mismatch_falls_back_to_the_numpy_chain(monkeypatch):
         return lib
 
     monkeypatch.setattr(treepass, "open_frame_library", open_mismatched)
-    treepass.load_frames.cache_clear()
-    try:
-        assert treepass.load_frames() is None
-        for kind in SWEEP_COUNTS:
-            test_seeded_sweep_counts_golden(kind)
-        assert [(lib.sampler_check.call_count, lib.frame_chunk.call_count) for lib in opened] == [(1, 0)]
-    finally:
-        treepass.load_frames.cache_clear()
+    fresh_frame_loader(monkeypatch)
+    assert treepass.load_frames() is None
+    for kind in SWEEP_COUNTS:
+        test_seeded_sweep_counts_golden(kind)
+    assert [(lib.sampler_check.call_count, lib.frame_chunk.call_count) for lib in opened] == [(1, 0)]
 
 
 # three decoders at three SNR points whose cells stop early at six
@@ -526,9 +542,9 @@ def test_lockstep_sweep_makes_each_chunk_once(monkeypatch):
     made = []
     real = sim.chunk_frames
 
-    def recording(config, lo, hi, *noise):
+    def recording(config, rolemap, L, lo, hi, *noise):
         made.append(lo)
-        return real(config, lo, hi, *noise)
+        return real(config, rolemap, L, lo, hi, *noise)
 
     monkeypatch.setattr(sim, "chunk_frames", recording)
     cells = sweep(cfg, LOCKSTEP_DECODERS).cells
@@ -688,11 +704,8 @@ def test_frame_library_key_covers_numpy_and_its_archive(tmp_path):
 def test_missing_archive_falls_back_to_the_numpy_chain(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(treepass, "numpy_random_archive", lambda: tmp_path / "missing.a")
-    treepass.load_frames.cache_clear()
-    try:
-        assert treepass.load_frames() is None
-        for kind in SWEEP_COUNTS:
-            test_seeded_sweep_counts_golden(kind)
-        assert not list((tmp_path / "cache").rglob("framechunk-*"))
-    finally:
-        treepass.load_frames.cache_clear()
+    fresh_frame_loader(monkeypatch)
+    assert treepass.load_frames() is None
+    for kind in SWEEP_COUNTS:
+        test_seeded_sweep_counts_golden(kind)
+    assert not list((tmp_path / "cache").rglob("framechunk-*"))
