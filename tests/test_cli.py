@@ -271,8 +271,8 @@ def test_decode_is_make_decoder_decode(tmp_path, kind):
     assert main(["decode", "--config", cfg, "--llrs", ones, "--decoder", kind, "--t-max", "0"]) == 1
 
 
-# sha256 of the decode --in JSON bytes, without the engine line, over
-# DECODE_FRAMES; the same on both engines
+# sha256 of the decode --in JSON bytes over decode_frames_text(), without
+# the engine line; the same on both engines
 DECODE_CODES = {"fc": {"N": 64, "K": 32, "scheme": "fc", "L": 5}, "none": {"N": 64, "K": 32}}
 DECODE_DIGESTS = {
     ("fc", "sc"): "31ef94176f6f245a2b3771dc0d278ce6713d34fc4e0ea90817d1011ce678fc7f",
